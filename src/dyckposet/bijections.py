@@ -20,6 +20,7 @@ from .errors import (
     LimitExceededError,
     NotTwoPeakError,
     OutOfGridError,
+    UnbalancedError,
 )
 from .words import DyckWord, runs, two_peak
 
@@ -135,7 +136,8 @@ def dyck_to_motzkin(word: DyckWord) -> MotzkinWord:
             out.append(text[i])
             i += 1
     result = MotzkinWord._wrap("".join(out))
-    assert result.is_peakless
+    if not result.is_peakless:
+        raise InvalidMotzkinError(f"image {result.text} of {word} is not peakless")
     return result
 
 
@@ -222,7 +224,8 @@ def path_to_triple(word: DyckWord) -> Triple:
     if rf.m != 2:
         raise NotTwoPeakError(f"{word} has {rf.m} peaks, need exactly 2")
     (up1, down1), (up2, down2) = rf.runs
-    assert up1 - down1 == down2 - up2
+    if up1 - down1 != down2 - up2:
+        raise UnbalancedError(f"{word.text} has unbalanced runs {rf.runs}")
     return Triple(down1, up2, up1 - down1)
 
 

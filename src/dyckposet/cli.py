@@ -387,8 +387,8 @@ def bijection_square_command(
     triple = Triple(i, j, k)
     word = triple_to_path(triple)
     square = triple_to_square(triple, grid[0], grid[1])
-    assert square_to_triple(square) == triple
-    assert path_to_triple(word) == triple
+    if square_to_triple(square) != triple or path_to_triple(word) != triple:
+        raise click.ClickException(f"bijection roundtrip failed for triple ({i}, {j}; {k})")
     if as_json:
         _echo_json(
             {

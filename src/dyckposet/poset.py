@@ -10,6 +10,7 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterator
 
 from .errors import (
@@ -26,7 +27,6 @@ from .words import (
     generate_all,
     lex_key,
     lex_text,
-    runs,
 )
 
 
@@ -46,39 +46,46 @@ def covered_by(word: DyckWord, limit: int | None = None) -> tuple[DyckWord, ...]
     return tuple(w for w in generate_all(word.semilength - 1, limit) if contains(w, word))
 
 
-def _is_dyck_text(text: str) -> bool:
-    height = 0
-    for step in text:
-        height += 1 if step == "U" else -1
-        if height < 0:
-            return False
-    return height == 0
-
-
 def deletion_children(word: DyckWord) -> tuple[DyckWord, ...]:
-    """Words covered by `word`, computed by shortening one U-run and one D-run.
+    """Words covered by `word`, lexicographic (U < D), by one pass of slicing.
 
-    Covering in this poset is the removal of one U and one D, and removing any
-    step of a run gives the same word, so trying every (U-run, D-run) pair
-    once reaches every covered word.  Agreement with covered_by() is part of
-    the test suite; this route has no generation ceiling because its cost is
-    bounded by the run count, not by a Catalan number.
+    Covering in this poset is the removal of one U and one D.  Removing any
+    step of a run gives the same word, so it suffices to drop the last U of
+    one U-run and the first D of one D-run, and these are the two steps of
+    each peak.  Dropping the U of peak i and the D of peak j leaves a Dyck
+    word iff j < i (the heights in between rise by one) or no prefix height
+    between the two steps is 0, i.e. both peaks lie in the same factor.  Each
+    candidate is therefore one slice of the text, accepted without a rescan.
+    Agreement with covered_by() is part of the test suite; this route has no
+    generation ceiling because its cost is bounded by the peak count, not by
+    a Catalan number.
     """
-    pairs = runs(word).runs
-    m = len(pairs)
+    text = word.text
+    peaks: list[int] = []  # position of the U of each peak
+    factor_of: list[int] = []  # factor (ground-to-ground block) of each peak
+    height = 0
+    factor = 0
+    previous = ""
+    for pos, step in enumerate(text):
+        if step == "U":
+            height += 1
+        else:
+            if previous == "U":
+                peaks.append(pos - 1)
+                factor_of.append(factor)
+            height -= 1
+            if height == 0:
+                factor += 1
+        previous = step
     seen: set[str] = set()
-    for ui in range(m):
-        for di in range(m):
-            parts = []
-            for idx, (up, down) in enumerate(pairs):
-                if idx == ui:
-                    up -= 1
-                if idx == di:
-                    down -= 1
-                parts.append("U" * up + "D" * down)
-            text = "".join(parts)
-            if text and text not in seen and _is_dyck_text(text):
-                seen.add(text)
+    for i, up in enumerate(peaks):
+        for j, peak in enumerate(peaks):
+            down = peak + 1
+            if j < i:
+                seen.add(text[:down] + text[down + 1 : up] + text[up + 1 :])
+            elif factor_of[j] == factor_of[i]:
+                seen.add(text[:up] + text[up + 1 : down] + text[down + 1 :])
+    seen.discard("")
     return tuple(DyckWord._wrap(t) for t in sorted(seen, key=lex_text))
 
 
@@ -177,26 +184,13 @@ class IntervalModel:
         return dict(sorted(hist.items()))
 
     def mobius_table(self) -> dict[DyckWord, int]:
-        """mu(bottom, x) for every element x, by the defining recursion.
+        """mu(bottom, x) for every element x, anchored at the bottom.
 
-        mu(bottom, bottom) = 1 and mu(bottom, x) = -sum of mu(bottom, z) over
-        bottom <= z < x.  The strict down-sets are accumulated through the
-        Hasse covers while sweeping the ranks upward.
+        A cached thin wrapper around the one Möbius recursion, _mobius_sweep;
+        its top-anchored twin is scans.mobius_to_top.
         """
         if self._mobius_from_bottom is None:
-            mu: dict[DyckWord, int] = {}
-            below: dict[DyckWord, frozenset[DyckWord]] = {}
-            for r in self.rank_span:
-                for w in self.elements_by_rank[r]:
-                    closure = {w}
-                    for child in self.covers_down[w]:
-                        closure |= below[child]
-                    below[w] = frozenset(closure)
-                    if w == self.bottom:
-                        mu[w] = 1
-                    else:
-                        mu[w] = -sum(mu[z] for z in closure if z != w)
-            self._mobius_from_bottom = mu
+            self._mobius_from_bottom = _mobius_sweep(self, "bottom")
         return self._mobius_from_bottom
 
     def mobius(self) -> int:
@@ -204,17 +198,66 @@ class IntervalModel:
         return self.mobius_table()[self.top]
 
 
+# Maps the ASCII digits of bin() to the 0/1 selector bytes itertools.compress reads.
+_BIT_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _mobius_sweep(model: IntervalModel, anchor: str) -> dict[DyckWord, int]:
+    """One column of the Möbius function: mu(bottom, x) or mu(x, top) for all x.
+
+    With anchor="bottom" the ranks are swept upward and mu(bottom, bottom) = 1,
+    mu(bottom, x) = -sum of mu(bottom, z) over bottom <= z < x.  With
+    anchor="top" the sweep runs downward, through covers_up instead of
+    covers_down, and mu(x, top) = -sum of mu(z, top) over x < z <= top.
+
+    Elements are numbered in sweep order, so every element on the anchor's
+    side of x has a smaller index.  The closed set between the anchor and x is
+    an int bitmask: the bit of x or-ed with the masks of x's covers toward the
+    anchor.  Only the previous rank's masks are kept, since covers join
+    consecutive ranks.  The sum over the strict part of the set runs in C:
+    the reversed binary digits of the mask select from the values computed so
+    far, and the bit of x itself lies past their end.
+    """
+    if anchor == "bottom":
+        sweep, toward_anchor, origin = model.rank_span, model.covers_down, model.bottom
+    elif anchor == "top":
+        sweep, toward_anchor, origin = reversed(model.rank_span), model.covers_up, model.top
+    else:
+        raise ArgumentOutOfRangeError(f"anchor must be 'bottom' or 'top', not {anchor!r}")
+    values: list[int] = []
+    order: list[DyckWord] = []
+    previous: dict[DyckWord, int] = {}
+    for r in sweep:
+        current: dict[DyckWord, int] = {}
+        for w in model.elements_by_rank[r]:
+            mask = 1 << len(values)
+            for z in toward_anchor[w]:
+                mask |= previous[z]
+            current[w] = mask
+            if w == origin:
+                values.append(1)
+            else:
+                selectors = bin(mask)[:1:-1].encode().translate(_BIT_SELECTORS)
+                values.append(-sum(compress(values, selectors)))
+            order.append(w)
+        previous = current
+    return dict(zip(order, values))
+
+
 def build_interval(
     bottom: DyckWord, top: DyckWord, limit: int | None = None
 ) -> IntervalModel:
     """Materialize [bottom, top] = {W : bottom <= W <= top}, rank by rank.
 
-    The ranks are produced downward from `top` by pattern deletion, pruning
-    words that do not contain `bottom`; the pruning is safe because every
-    word above a valid element is itself above `bottom`.  Gradedness of the
-    poset guarantees the deletion walk reaches the whole interval, and the
-    tests check this construction against the generate-everything-and-filter
-    one on small intervals.
+    One walk runs downward from `top`: each element's deletion_children are
+    computed once, and the children that contain `bottom` are kept.  They
+    are exactly the element's Hasse covers inside the interval, since a child
+    lies below an element below `top`, and together they form the next rank.
+    Containment in `bottom` is tested at most once per candidate per rank.
+    Gradedness of the poset guarantees the walk reaches the whole interval,
+    and at the bottom rank the only word containing `bottom` is `bottom`
+    itself.  The tests check this construction against the
+    generate-everything-and-filter one on small intervals.
     """
     if bottom.semilength < 1:
         raise ArgumentOutOfRangeError("interval bottom must have semilength >= 1")
@@ -230,32 +273,38 @@ def build_interval(
     lo = bottom.semilength
     hi = top.semilength
     ranks: dict[int, tuple[DyckWord, ...]] = {hi: (top,)}
+    covers_down: dict[DyckWord, tuple[DyckWord, ...]] = {}
+    covers_up: dict[DyckWord, list[DyckWord]] = {top: []}
     level: tuple[DyckWord, ...] = (top,)
     for r in range(hi - 1, lo - 1, -1):
-        found: set[DyckWord] = set()
+        # kept maps each accepted child to its first instance, so that every
+        # table of the model shares one object per element.
+        kept: dict[DyckWord, DyckWord] = {}
+        rejected: set[DyckWord] = set()
         for w in level:
+            kids = []
             for child in deletion_children(w):
-                if child not in found and contains(bottom, child):
-                    found.add(child)
-        level = tuple(sorted(found, key=lex_key))
+                element = kept.get(child)
+                if element is None:
+                    if child in rejected:
+                        continue
+                    if not contains(bottom, child):
+                        rejected.add(child)
+                        continue
+                    element = kept[child] = child
+                    covers_up[child] = []
+                kids.append(element)
+                covers_up[element].append(w)
+            covers_down[w] = tuple(kids)
+        level = tuple(sorted(kept, key=lex_key))
         ranks[r] = level
-    assert ranks[lo] == (bottom,)
+    for w in level:
+        covers_down[w] = ()
 
-    members = frozenset(w for row in ranks.values() for w in row)
-    covers_down: dict[DyckWord, tuple[DyckWord, ...]] = {}
-    covers_up: dict[DyckWord, list[DyckWord]] = {w: [] for w in members}
-    for r in range(lo, hi + 1):
-        if r == lo:
-            for w in ranks[r]:
-                covers_down[w] = ()
-            continue
-        lower_rank = set(ranks[r - 1])
-        for w in ranks[r]:
-            kids = tuple(c for c in deletion_children(w) if c in lower_rank)
-            covers_down[w] = kids
-            for child in kids:
-                covers_up[child].append(w)
-    frozen_up = {w: tuple(sorted(v, key=lex_key)) for w, v in covers_up.items()}
+    members = frozenset(covers_down)
+    # Each rank is walked in lexicographic order, so every up-cover list is
+    # already sorted.
+    frozen_up = {w: tuple(v) for w, v in covers_up.items()}
     return IntervalModel(bottom, top, ranks, covers_down, frozen_up, members)
 
 
@@ -266,6 +315,7 @@ def mobius(bottom: DyckWord, top: DyckWord, limit: int | None = None) -> int:
 
 def interval_to_json_dict(model: IntervalModel) -> dict:
     """JSON rendering: bottom, top, ranks, edges and the Möbius table."""
+    table = model.mobius_table()
     return {
         "bottom": model.bottom.text,
         "top": model.top.text,
@@ -278,7 +328,7 @@ def interval_to_json_dict(model: IntervalModel) -> dict:
             for r in model.rank_span
         ],
         "edges": [[lo.text, up.text] for lo, up in model.hasse_edges],
-        "mobius": {w.text: model.mobius_table()[w] for w in model.elements()},
+        "mobius": {w.text: table[w] for w in model.elements()},
     }
 
 

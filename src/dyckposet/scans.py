@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import LimitExceededError
 from .formulas import cover_count_formula
-from .poset import IntervalModel, build_interval, covers_of
+from .poset import IntervalModel, _mobius_sweep, build_interval, covers_of
 from .words import DyckWord, elevated_staircase, factors, generate_all, staircase
 
 #: Scan-specific ceilings, sized to finish in minutes on a laptop.
@@ -67,26 +67,13 @@ def _check_scan_limit(value: int, ceiling: int, limit: int | None, what: str) ->
 
 
 def mobius_to_top(model: IntervalModel) -> dict[DyckWord, int]:
-    """mu(x, top) for every interval element x, via the dual recursion.
+    """mu(x, top) for every interval element x, anchored at the top.
 
-    Fixing the top and sweeping the ranks downward, mu(top, top) = 1 and
-    mu(x, top) = -sum of mu(z, top) over x < z <= top.  This computes a whole
-    column of Möbius values in one pass; agreement with the bottom-anchored
-    recursion of the poset engine is spot-checked in the tests.
+    A thin wrapper around the poset engine's one Möbius recursion, swept
+    downward from the top through the up-covers; it computes a whole column
+    of Möbius values in one pass.
     """
-    mu: dict[DyckWord, int] = {}
-    above: dict[DyckWord, frozenset[DyckWord]] = {}
-    for r in reversed(model.rank_span):
-        for w in model.elements_by_rank[r]:
-            closure = {w}
-            for parent in model.covers_up[w]:
-                closure |= above[parent]
-            above[w] = frozenset(closure)
-            if w == model.top:
-                mu[w] = 1
-            else:
-                mu[w] = -sum(mu[z] for z in closure if z != w)
-    return mu
+    return _mobius_sweep(model, "top")
 
 
 def _witness(bottom: DyckWord, top: DyckWord, value: int) -> dict:

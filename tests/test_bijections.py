@@ -4,6 +4,7 @@ import pytest
 
 from dyckposet import (
     ArgumentOutOfRangeError,
+    DyckWord,
     GridSquare,
     InvalidMotzkinError,
     LimitExceededError,
@@ -11,6 +12,7 @@ from dyckposet import (
     NotTwoPeakError,
     OutOfGridError,
     Triple,
+    UnbalancedError,
     contains,
     count_peakless_motzkin,
     dyck_to_motzkin,
@@ -127,6 +129,13 @@ def test_triple_roundtrip_and_examples():
         path_to_triple(staircase(3))
     with pytest.raises(ArgumentOutOfRangeError):
         Triple(0, 1, 0)
+
+
+def test_path_to_triple_checks_run_balance_explicitly():
+    # The check is a real error, not an assert that `python -O` would strip;
+    # an unvalidated two-peak step string exercises it.
+    with pytest.raises(UnbalancedError):
+        path_to_triple(DyckWord._wrap("UUDUD"))
 
 
 def test_triple_leq_examples():

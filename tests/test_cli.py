@@ -3,7 +3,12 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import dyckposet
 from dyckposet.cli import main
 
 
@@ -182,3 +187,20 @@ def test_stdout_is_deterministic():
 def test_help_exits_zero():
     code, out, _ = run("--help")
     assert code == 0
+
+
+def test_verify_all_runs_under_optimize_flag():
+    # `python -O` strips assert statements, so every runtime check must be an
+    # explicit one for the suites to keep passing.
+    env = dict(os.environ)
+    src = str(Path(dyckposet.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-O", "-m", "dyckposet", "verify", "all"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().endswith("29/29 checks passed")

@@ -22,6 +22,7 @@ from dyckposet import (
     staircase,
     two_peak,
 )
+from dyckposet.scans import mobius_to_top
 
 UD = staircase(1)
 
@@ -201,6 +202,65 @@ def test_mobius_recursion_column_sums_vanish():
                 continue
             total = sum(table[z] for z in elements if contains(z, x))
             assert total == 0, (bottom, top, x)
+
+
+def oracle_mobius(bottom, top):
+    """mu(bottom, x) and mu(x, top) over [bottom, top] from `contains` alone.
+
+    Shares no code with the engine's rank walk or Möbius recursion: the
+    elements come from generate-and-filter, and each value is minus the sum
+    over the elements that a containment test places strictly between.
+    """
+    elements = [
+        w
+        for r in range(bottom.semilength, top.semilength + 1)
+        for w in generate_all(r)
+        if contains(bottom, w) and contains(w, top)
+    ]
+    from_bottom = {}
+    for x in elements:
+        from_bottom[x] = 1 if x == bottom else -sum(
+            value for z, value in from_bottom.items() if contains(z, x)
+        )
+    to_top = {}
+    for x in reversed(elements):
+        to_top[x] = 1 if x == top else -sum(
+            value for z, value in to_top.items() if contains(x, z)
+        )
+    return from_bottom, to_top
+
+
+def assert_both_anchors_match_oracle(bottom, top):
+    from_bottom, to_top = oracle_mobius(bottom, top)
+    model = build_interval(bottom, top)
+    assert model.mobius_table() == from_bottom, (bottom, top)
+    assert mobius_to_top(model) == to_top, (bottom, top)
+
+
+def test_both_mobius_anchors_match_oracle_for_every_top_up_to_semilength_7():
+    for n in range(1, 8):
+        for top in generate_all(n):
+            assert_both_anchors_match_oracle(UD, top)
+
+
+@pytest.mark.parametrize(
+    "bottom_text, top_text",
+    [
+        ("UD", "UDUDUDUDUDUDUDUD"),
+        ("UUDD", "UUUUUDDDUUUUDDDDDD"),
+        ("UDUD", "UDUDUDUDUDUDUD"),
+        ("UUDD", "UUDUDUDD"),
+    ],
+)
+def test_both_mobius_anchors_match_oracle_beyond(bottom_text, top_text):
+    assert_both_anchors_match_oracle(parse_word(bottom_text), parse_word(top_text))
+
+
+def test_mobius_sweep_rejects_an_unknown_anchor():
+    from dyckposet.poset import _mobius_sweep
+
+    with pytest.raises(ArgumentOutOfRangeError):
+        _mobius_sweep(build_interval(UD, staircase(3)), "middle")
 
 
 def test_mobius_examples():
