@@ -43,7 +43,14 @@ from .formulas import (
     two_peak_rank_count_h0,
 )
 from .poset import build_interval, interval_to_dot, interval_to_json_dict, mobius
-from .scans import scan_alternating, scan_rank2_max, scan_rank3_max, sweep_cover_count
+from .scans import (
+    ALTERNATING_SCAN_CEILING,
+    COVER_SCAN_CEILING,
+    scan_alternating,
+    scan_rank2_max,
+    scan_rank3_max,
+    sweep_cover_count,
+)
 from .verify import run_suite
 from .words import contains, factors, parse_word, runs, statistics
 
@@ -137,7 +144,7 @@ def interval_command(ctx: click.Context, bottom: str, top: str, view: str) -> No
     elif view == "dot":
         click.echo(interval_to_dot(model), nl=False)
     elif view == "edges":
-        for lower, upper in model.hasse_edges:
+        for lower, upper in model._edges():
             click.echo(f"{lower.text} {upper.text}")
     elif view == "elements":
         for r in model.rank_span:
@@ -287,10 +294,12 @@ def verify_command(suite: str) -> None:
 
 
 _SCANS = {
-    "alternating": (scan_alternating, "max_top_semilength", 6, True),
+    "alternating": (
+        scan_alternating, "max_top_semilength", ALTERNATING_SCAN_CEILING, True
+    ),
     "rank2max": (scan_rank2_max, "n", 4, False),
     "rank3max": (scan_rank3_max, "n", 3, True),
-    "covercount": (sweep_cover_count, "max_semilength", 7, False),
+    "covercount": (sweep_cover_count, "max_semilength", COVER_SCAN_CEILING, False),
 }
 
 

@@ -24,26 +24,53 @@ from .words import (
     DEFAULT_GENERATION_CEILING,
     DyckWord,
     contains,
-    generate_all,
     lex_key,
     lex_text,
 )
 
 
-def covers_of(word: DyckWord, limit: int | None = None) -> tuple[DyckWord, ...]:
-    """All words one rank up that contain `word`, by generate-and-filter."""
+def covers_of(word: DyckWord) -> tuple[DyckWord, ...]:
+    """Words covering `word`, lexicographic (U < D), by one pass of insertion.
+
+    A cover adds one U and one D.  Inserting the U at text position i and the
+    D at position j gives a Dyck word whenever j >= i (the heights in between
+    rise by one), and for j < i iff every prefix height h[k], j <= k <= i, is
+    at least 1 (they drop by one).  Inserting a letter anywhere in a run of
+    the same letter gives the same word, so the U goes only where it does not
+    follow a U, and the D only where it does not follow a D; what remains is
+    O(n^2) candidates, each one slice of the text.  The cost is bounded by the
+    semilength, not by a Catalan number.
+    """
     if word.semilength < 1:
         raise ArgumentOutOfRangeError("poset elements have semilength >= 1")
-    return tuple(w for w in generate_all(word.semilength + 1, limit) if contains(word, w))
+    text = word.text
+    heights = [0]
+    for step in text:
+        heights.append(heights[-1] + (1 if step == "U" else -1))
+    seen: set[str] = set()
+    for i in range(len(text) + 1):
+        if i and text[i - 1] == "U":
+            continue
+        head, tail = text[:i] + "U", text[i:]
+        # U first: the D goes right after the new U or after any later U.
+        seen.add(head + "D" + tail)
+        for j in range(i + 1, len(text) + 1):
+            if text[j - 1] == "U":
+                seen.add(head + text[i:j] + "D" + text[j:])
+        # D first: walk j down from i while the heights it lowers stay >= 1.
+        for j in range(i, 0, -1):
+            if heights[j] < 1:
+                break
+            if text[j - 1] == "U":
+                seen.add(text[:j] + "D" + text[j:i] + "U" + tail)
+    return tuple(DyckWord._wrap(t) for t in sorted(seen, key=lex_text))
 
 
-def covered_by(word: DyckWord, limit: int | None = None) -> tuple[DyckWord, ...]:
-    """All words one rank down that `word` contains, by generate-and-filter."""
+def covered_by(word: DyckWord) -> tuple[DyckWord, ...]:
+    """Words covered by `word`, lexicographic (U < D): the deletion kernel."""
     if word.semilength < 1:
         raise ArgumentOutOfRangeError("poset elements have semilength >= 1")
-    if word.semilength == 1:
-        return ()
-    return tuple(w for w in generate_all(word.semilength - 1, limit) if contains(w, word))
+    return deletion_children(word)
 
 
 def deletion_children(word: DyckWord) -> tuple[DyckWord, ...]:
@@ -56,9 +83,8 @@ def deletion_children(word: DyckWord) -> tuple[DyckWord, ...]:
     word iff j < i (the heights in between rise by one) or no prefix height
     between the two steps is 0, i.e. both peaks lie in the same factor.  Each
     candidate is therefore one slice of the text, accepted without a rescan.
-    Agreement with covered_by() is part of the test suite; this route has no
-    generation ceiling because its cost is bounded by the peak count, not by
-    a Catalan number.
+    The tests check it against generate-and-filter; its cost is bounded by
+    the peak count, not by a Catalan number.
     """
     text = word.text
     peaks: list[int] = []  # position of the U of each peak
@@ -121,14 +147,16 @@ class IntervalModel:
     def __contains__(self, word: DyckWord) -> bool:
         return word in self.members
 
-    @property
-    def hasse_edges(self) -> tuple[tuple[DyckWord, DyckWord], ...]:
-        out = []
+    def _edges(self) -> Iterator[tuple[DyckWord, DyckWord]]:
+        """Hasse edges (lower, upper), rank by rank, lexicographic within each."""
         for r in self.rank_span[:-1]:
             for lower in self.elements_by_rank[r]:
                 for upper in self.covers_up[lower]:
-                    out.append((lower, upper))
-        return tuple(out)
+                    yield lower, upper
+
+    @property
+    def hasse_edges(self) -> tuple[tuple[DyckWord, DyckWord], ...]:
+        return tuple(self._edges())
 
     def s0(self) -> int:
         """Number of elements (saturated chains of length 0)."""
@@ -327,7 +355,7 @@ def interval_to_json_dict(model: IntervalModel) -> dict:
             }
             for r in model.rank_span
         ],
-        "edges": [[lo.text, up.text] for lo, up in model.hasse_edges],
+        "edges": [[lo.text, up.text] for lo, up in model._edges()],
         "mobius": {w.text: table[w] for w in model.elements()},
     }
 
@@ -338,7 +366,7 @@ def interval_to_dot(model: IntervalModel) -> str:
     for r in model.rank_span:
         row = " ".join(f'"{w.text}";' for w in model.elements_by_rank[r])
         lines.append("  { rank=same; " + row + " }")
-    for lo, up in model.hasse_edges:
+    for lo, up in model._edges():
         lines.append(f'  "{lo.text}" -> "{up.text}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -22,7 +22,7 @@ from .words import DyckWord, elevated_staircase, factors, generate_all, staircas
 ALTERNATING_SCAN_CEILING = 6
 RANK2_SCAN_CEILING = 5
 RANK3_SCAN_CEILING = 4
-COVER_SCAN_CEILING = 8
+COVER_SCAN_CEILING = 7
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,9 +215,7 @@ def sweep_cover_count(max_semilength: int, limit: int | None = None) -> ScanRepo
     Also confirms, rank by rank, that the maximum n^2 + 1 is attained exactly
     by the one-factor words.
     """
-    _check_scan_limit(
-        max_semilength + 1, COVER_SCAN_CEILING, limit, "cover semilength"
-    )
+    _check_scan_limit(max_semilength, COVER_SCAN_CEILING, limit, "max semilength")
     start = time.perf_counter()
     words_checked = 0
     violations: list[dict] = []
@@ -225,7 +223,7 @@ def sweep_cover_count(max_semilength: int, limit: int | None = None) -> ScanRepo
         max_count = s * s + 1
         attaining: list[DyckWord] = []
         for q in generate_all(s):
-            brute = len(covers_of(q, limit))
+            brute = len(covers_of(q))
             expected = cover_count_formula(q)
             words_checked += 1
             if brute != expected:

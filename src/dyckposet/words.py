@@ -265,7 +265,17 @@ def check_generation_limit(semilength: int, limit: int | None) -> None:
         )
 
 
+# Largest semilength whose generated words stay cached for the life of the
+# process.  Scans and the verify suites reuse the small ranks over and over;
+# Catalan(10) = 16 796, while caching semilength 14 would pin 2.7M words.
+_CACHED_SEMILENGTH = 10
+
+
 @functools.lru_cache(maxsize=None)
+def _cached_words(semilength: int) -> tuple[DyckWord, ...]:
+    return _all_words(semilength)
+
+
 def _all_words(semilength: int) -> tuple[DyckWord, ...]:
     if semilength == 0:
         return (EMPTY_WORD,)
@@ -294,10 +304,14 @@ def generate_all(semilength: int, limit: int | None = None) -> tuple[DyckWord, .
 
     The result has exactly Catalan(semilength) entries.  Requests above the
     ceiling raise LimitExceededError unless `limit` is raised explicitly.
+    Semilengths up to 10 are cached; larger ones are generated afresh on
+    every call.
     """
     if semilength < 0:
         raise ArgumentOutOfRangeError("semilength must be nonnegative")
     check_generation_limit(semilength, limit)
+    if semilength <= _CACHED_SEMILENGTH:
+        return _cached_words(semilength)
     return _all_words(semilength)
 
 

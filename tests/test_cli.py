@@ -147,6 +147,14 @@ def test_conjecture_command():
     assert run("conjecture", "nonsense")[0] == 1
 
 
+def test_conjecture_covercount_stops_at_its_ceiling():
+    assert run("conjecture", "covercount", "--max", "8")[0] == 2
+    code, out, _ = run("conjecture", "covercount", "--max", "7")
+    assert code == 0
+    assert "verdict consistent" in out
+    assert run("conjecture", "covercount")[1] == out
+
+
 def test_bijection_motzkin_command():
     code, out, _ = run("bijection", "motzkin", "UUDD")
     assert (code, out) == (0, "dyck UUDD\nmotzkin ULD\nlength 3\n")

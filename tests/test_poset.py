@@ -1,5 +1,8 @@
 """Interval engine: construction, chains, covers, Möbius recursion."""
 
+import time
+
+import oracle
 import pytest
 
 from dyckposet import (
@@ -124,12 +127,36 @@ def test_covers_of_examples():
     assert len(ups) == 4
     assert parse_word("UUUDDD") not in ups
     assert covered_by(UD) == ()
+    assert covers_of(UD) == (parse_word("UUDD"), parse_word("UDUD"))
 
 
 def test_deletion_children_equals_covered_by():
-    for n in range(1, 8):
+    for n in range(1, 9):
         for word in generate_all(n):
-            assert deletion_children(word) == covered_by(word)
+            expected = oracle.covered_by(word)
+            assert deletion_children(word) == expected
+            assert covered_by(word) == expected
+
+
+def test_covers_of_equals_generate_and_filter():
+    for n in range(1, 9):
+        for word in generate_all(n):
+            assert covers_of(word) == oracle.covers_of(word)
+
+
+def test_covers_of_at_semilength_30_is_fast_and_needs_no_generation():
+    from dyckposet import cover_count_formula
+
+    # generate_all(31) would raise LimitExceededError, so a kernel that
+    # enumerated the rank above could not answer at all.
+    top = staircase(30)
+    timings = []
+    for _ in range(3):
+        start = time.perf_counter()
+        ups = covers_of(top)
+        timings.append(time.perf_counter() - start)
+    assert len(ups) == len(set(ups)) == cover_count_formula(top) == 466
+    assert min(timings) < 0.010
 
 
 def test_cover_count_formula_holds_up_to_semilength_8():
@@ -142,10 +169,7 @@ def test_cover_count_formula_holds_up_to_semilength_8():
         for child in deletion_children(w):
             counts[child] = counts.get(child, 0) + 1
     for q in generate_all(8):
-        assert counts.get(q, 0) == cover_count_formula(q)
-    # and the generate-and-filter route agrees on a sample
-    for q in generate_all(8)[::97]:
-        assert len(covers_of(q)) == cover_count_formula(q)
+        assert counts.get(q, 0) == cover_count_formula(q) == len(covers_of(q))
 
 
 def test_poset_operations_reject_the_empty_word():

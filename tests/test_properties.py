@@ -5,7 +5,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from dyckposet import deletion_children, parse_word
+from dyckposet import cover_count_formula, covers_of, deletion_children, parse_word
 from dyckposet.words import lex_key
 
 
@@ -50,3 +50,42 @@ def slow_deletion_children(word):
 @given(dyck_words())
 def test_deletion_children_matches_pairwise_deletion(word):
     assert deletion_children(word) == slow_deletion_children(word)
+
+
+def slow_covers_of(word):
+    """Insert one U and one D at every pair of positions; keep the Dyck words."""
+    text = word.text
+    found = set()
+    for i in range(len(text) + 1):
+        with_up = text[:i] + "U" + text[i:]
+        for j in range(len(with_up) + 1):
+            candidate = with_up[:j] + "D" + with_up[j:]
+            height = 0
+            for step in candidate:
+                height += 1 if step == "U" else -1
+                if height < 0:
+                    break
+            else:
+                found.add(parse_word(candidate))
+    return tuple(sorted(found, key=lex_key))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dyck_words())
+def test_covers_of_matches_pairwise_insertion(word):
+    assert covers_of(word) == slow_covers_of(word)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dyck_words())
+def test_cover_count_formula_counts_covers_of(word):
+    assert len(covers_of(word)) == cover_count_formula(word)
+
+
+@settings(max_examples=20, deadline=None)
+@given(dyck_words())
+def test_insertion_and_deletion_kernels_are_mutually_inverse(word):
+    for cover in covers_of(word):
+        assert word in deletion_children(cover)
+    for child in deletion_children(word):
+        assert word in covers_of(child)

@@ -153,6 +153,13 @@ def test_generate_all_is_lexicographic():
         assert keys == sorted(keys)
 
 
+def test_generate_all_caches_only_small_semilengths():
+    assert generate_all(10) is generate_all(10)
+    fresh = generate_all(11)
+    again = generate_all(11)
+    assert fresh == again and fresh is not again
+
+
 def test_generate_all_limits():
     with pytest.raises(LimitExceededError):
         generate_all(15)
