@@ -141,7 +141,17 @@ def dyck_to_motzkin(word: DyckWord) -> MotzkinWord:
     return result
 
 
+# Longest Motzkin length whose peak-less words stay cached for the life of the
+# process.  The verify suites reuse lengths <= 12 over and over; length 16 has
+# 72 832 words, while caching length 20 would pin 2.5M strings.
+_CACHED_LENGTH = 16
+
+
 @functools.lru_cache(maxsize=None)
+def _cached_peakless_texts(length: int) -> tuple[str, ...]:
+    return _peakless_texts(length)
+
+
 def _peakless_texts(length: int) -> tuple[str, ...]:
     out: list[str] = []
     steps: list[str] = []
@@ -174,7 +184,11 @@ def _peakless_texts(length: int) -> tuple[str, ...]:
 def generate_peakless_motzkin(
     length: int, limit: int | None = None
 ) -> tuple[MotzkinWord, ...]:
-    """All peak-less Motzkin words of exactly the given length."""
+    """All peak-less Motzkin words of exactly the given length.
+
+    Lengths up to 16 are cached; longer ones are enumerated afresh on every
+    call.
+    """
     if length < 0:
         raise ArgumentOutOfRangeError("length must be nonnegative")
     ceiling = DEFAULT_MOTZKIN_CEILING if limit is None else limit
@@ -183,7 +197,11 @@ def generate_peakless_motzkin(
             f"length {length} exceeds the Motzkin ceiling {ceiling}; "
             "pass an explicit limit to override"
         )
-    return tuple(MotzkinWord._wrap(t) for t in _peakless_texts(length))
+    if length <= _CACHED_LENGTH:
+        texts = _cached_peakless_texts(length)
+    else:
+        texts = _peakless_texts(length)
+    return tuple(MotzkinWord._wrap(t) for t in texts)
 
 
 def count_peakless_motzkin(length: int, limit: int | None = None) -> int:

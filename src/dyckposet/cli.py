@@ -144,8 +144,8 @@ def interval_command(ctx: click.Context, bottom: str, top: str, view: str) -> No
     elif view == "dot":
         click.echo(interval_to_dot(model), nl=False)
     elif view == "edges":
-        for lower, upper in model._edges():
-            click.echo(f"{lower.text} {upper.text}")
+        lines = "".join(f"{lo.text} {up.text}\n" for lo, up in model._edges())
+        click.echo(lines, nl=False)
     elif view == "elements":
         for r in model.rank_span:
             row = " ".join(w.text for w in model.elements_by_rank[r])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Iterator
+from typing import Hashable, Iterable, Iterator, Mapping
 
 from .errors import (
     ArgumentOutOfRangeError,
@@ -214,11 +214,14 @@ class IntervalModel:
     def mobius_table(self) -> dict[DyckWord, int]:
         """mu(bottom, x) for every element x, anchored at the bottom.
 
-        A cached thin wrapper around the one Möbius recursion, _mobius_sweep;
-        its top-anchored twin is scans.mobius_to_top.
+        A cached thin wrapper around the one Möbius recursion, _mobius_sweep,
+        swept upward; its top-anchored twin is scans.mobius_to_top.
         """
         if self._mobius_from_bottom is None:
-            self._mobius_from_bottom = _mobius_sweep(self, "bottom")
+            levels = (self.elements_by_rank[r] for r in self.rank_span)
+            self._mobius_from_bottom = _mobius_sweep(
+                levels, self.covers_down, self.bottom
+            )
         return self._mobius_from_bottom
 
     def mobius(self) -> int:
@@ -230,36 +233,37 @@ class IntervalModel:
 _BIT_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _mobius_sweep(model: IntervalModel, anchor: str) -> dict[DyckWord, int]:
-    """One column of the Möbius function: mu(bottom, x) or mu(x, top) for all x.
+def _mobius_sweep(
+    levels: Iterable[Iterable[Hashable]],
+    toward_origin: Mapping[Hashable, Iterable[Hashable]],
+    origin: Hashable,
+) -> dict:
+    """One column of the Möbius function, anchored at `origin`.
 
-    With anchor="bottom" the ranks are swept upward and mu(bottom, bottom) = 1,
-    mu(bottom, x) = -sum of mu(bottom, z) over bottom <= z < x.  With
-    anchor="top" the sweep runs downward, through covers_up instead of
-    covers_down, and mu(x, top) = -sum of mu(z, top) over x < z <= top.
+    `levels` are the ranks in sweep order, starting with the rank of `origin`,
+    and `toward_origin` maps each element to its covers in the previous
+    level.  Swept upward from the bottom through the down-covers, the column
+    is mu(bottom, x); swept downward from the top through the up-covers, it is
+    mu(x, top).  mu(origin, origin) = 1, and every other value is minus the sum
+    of the values strictly between x and the origin.  Any hashable element
+    type works: the interval model passes DyckWords, the scans step texts.
 
-    Elements are numbered in sweep order, so every element on the anchor's
-    side of x has a smaller index.  The closed set between the anchor and x is
+    Elements are numbered in sweep order, so every element on the origin's
+    side of x has a smaller index.  The closed set between the origin and x is
     an int bitmask: the bit of x or-ed with the masks of x's covers toward the
-    anchor.  Only the previous rank's masks are kept, since covers join
+    origin.  Only the previous rank's masks are kept, since covers join
     consecutive ranks.  The sum over the strict part of the set runs in C:
     the reversed binary digits of the mask select from the values computed so
     far, and the bit of x itself lies past their end.
     """
-    if anchor == "bottom":
-        sweep, toward_anchor, origin = model.rank_span, model.covers_down, model.bottom
-    elif anchor == "top":
-        sweep, toward_anchor, origin = reversed(model.rank_span), model.covers_up, model.top
-    else:
-        raise ArgumentOutOfRangeError(f"anchor must be 'bottom' or 'top', not {anchor!r}")
     values: list[int] = []
-    order: list[DyckWord] = []
-    previous: dict[DyckWord, int] = {}
-    for r in sweep:
-        current: dict[DyckWord, int] = {}
-        for w in model.elements_by_rank[r]:
+    order: list[Hashable] = []
+    previous: dict[Hashable, int] = {}
+    for level in levels:
+        current: dict[Hashable, int] = {}
+        for w in level:
             mask = 1 << len(values)
-            for z in toward_anchor[w]:
+            for z in toward_origin[w]:
                 mask |= previous[z]
             current[w] = mask
             if w == origin:

@@ -1,27 +1,33 @@
 """Desk-scale scans over Möbius values and cover counts.
 
-Each scan enumerates top words first, then walks bottoms inside the top's
-initial interval, and returns a ScanReport.  Proposition-level facts (the
-rank-2 maximum, the cover-count formula) are expected to hold and their
-violation is a build-breaking bug; conjecture-level scans (sign alternation,
-the rank-3 maximum) report what they see, because a counterexample would be a
-finding to surface, not an error to suppress.
+The three Möbius scans run on one windowed walk: for each top word it steps
+down through deletion_children to the lowest rank the scan reads, then sweeps
+the poset engine's one Möbius recursion back down from the top, which gives
+mu(x, top) for every x in that window.  A rank-k scan reads only the k ranks
+below each top; the alternation scan walks down to UD, i.e. the whole initial
+interval.  Proposition-level facts (the rank-2 maximum, the cover-count
+formula) are expected to hold and their violation is a build-breaking bug;
+conjecture-level scans (sign alternation, the rank-3 maximum) report what they
+see, because a counterexample would be a finding to surface, not an error to
+suppress.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain
+from typing import Iterable, Iterator
 
 from .errors import LimitExceededError
 from .formulas import cover_count_formula
-from .poset import IntervalModel, _mobius_sweep, build_interval, covers_of
-from .words import DyckWord, elevated_staircase, factors, generate_all, staircase
+from .poset import IntervalModel, _mobius_sweep, covers_of, deletion_children
+from .words import DyckWord, elevated_staircase, factors, generate_all, lex_text
 
-#: Scan-specific ceilings, sized to finish in minutes on a laptop.
+#: Scan-specific ceilings, sized to finish in seconds on a laptop.
 ALTERNATING_SCAN_CEILING = 6
-RANK2_SCAN_CEILING = 5
-RANK3_SCAN_CEILING = 4
+RANK2_SCAN_CEILING = 7
+RANK3_SCAN_CEILING = 6
 COVER_SCAN_CEILING = 7
 
 
@@ -73,11 +79,51 @@ def mobius_to_top(model: IntervalModel) -> dict[DyckWord, int]:
     downward from the top through the up-covers; it computes a whole column
     of Möbius values in one pass.
     """
-    return _mobius_sweep(model, "top")
+    levels = (model.elements_by_rank[r] for r in reversed(model.rank_span))
+    return _mobius_sweep(levels, model.covers_up, model.top)
 
 
-def _witness(bottom: DyckWord, top: DyckWord, value: int) -> dict:
-    return {"bottom": bottom.text, "top": top.text, "mu": value}
+def _top_windows(
+    tops: Iterable[DyckWord], lowest: int
+) -> Iterator[tuple[str, list[tuple[str, ...]], dict[str, int]]]:
+    """For each top, the ranks from it down to semilength `lowest`, and mu(x, top).
+
+    Yields (top, levels, column): levels[i] holds the step texts of the words
+    i ranks below the top, in no particular order, and column maps each of
+    them to mu(x, top).  Every word of semilength >= 1 contains UD, so with
+    lowest = 1 the window is exactly the interval [UD, top], and for larger
+    `lowest` it is the top part of that interval, which holds every element
+    between a low-rank x and the top.  No containment test is needed.
+
+    The tops share most of their descendants, so each word's deletion
+    children are computed once per call and kept until the walk is done.
+    Elements are keyed by their step text, whose hashing runs in C.
+    """
+    children: dict[str, tuple[str, ...]] = {}
+    for top in tops:
+        levels = [(top.text,)]
+        covers_up: dict[str, list[str]] = {top.text: []}
+        for _ in range(top.semilength - lowest):
+            reached: dict[str, list[str]] = {}
+            for w in levels[-1]:
+                kids = children.get(w)
+                if kids is None:
+                    kids = children[w] = tuple(
+                        c.text for c in deletion_children(DyckWord._wrap(w))
+                    )
+                for c in kids:
+                    parents = reached.get(c)
+                    if parents is None:
+                        reached[c] = [w]
+                    else:
+                        parents.append(w)
+            covers_up.update(reached)
+            levels.append(tuple(reached))
+        yield top.text, levels, _mobius_sweep(levels, covers_up, top.text)
+
+
+def _witness(bottom: str, top: str, value: int) -> dict:
+    return {"bottom": bottom, "top": top, "mu": value}
 
 
 def scan_alternating(max_top_semilength: int, limit: int | None = None) -> ScanReport:
@@ -89,18 +135,18 @@ def scan_alternating(max_top_semilength: int, limit: int | None = None) -> ScanR
         max_top_semilength, ALTERNATING_SCAN_CEILING, limit, "top semilength"
     )
     start = time.perf_counter()
-    bottom_anchor = staircase(1)
     pairs = 0
     violations: list[dict] = []
-    for s in range(1, max_top_semilength + 1):
-        for top in generate_all(s):
-            model = build_interval(bottom_anchor, top)
-            column = mobius_to_top(model)
-            for x in model.elements():
+    tops = chain.from_iterable(
+        generate_all(s) for s in range(1, max_top_semilength + 1)
+    )
+    for top, levels, column in _top_windows(tops, 1):
+        # levels[i] lies i ranks below the top; report ranks ascending.
+        for i in range(len(levels) - 1, -1, -1):
+            for x in sorted(levels[i], key=lex_text):
                 value = column[x]
                 pairs += 1
-                even_rank = (s - x.semilength) % 2 == 0
-                if value < 0 if even_rank else value > 0:
+                if value < 0 if i % 2 == 0 else value > 0:
                     violations.append(_witness(x, top, value))
     elapsed = int((time.perf_counter() - start) * 1000)
     return ScanReport(
@@ -113,6 +159,48 @@ def scan_alternating(max_top_semilength: int, limit: int | None = None) -> ScanR
     )
 
 
+def _scan_rank_max(
+    scan: str, k: int, n: int, expected: int, expected_key: str, signed: bool
+) -> ScanReport:
+    """Maximum of mu, or of |mu| if not `signed`, over rank-k intervals [p, top].
+
+    p ranges over semilength n, tops over semilength n + k in generation
+    order.  Every pair attaining the maximum is a witness: tops in generation
+    order, then bottoms lexicographic.  The verdict is consistent iff the
+    maximum is `expected` and the elevated-staircase pair attains it.
+    """
+    start = time.perf_counter()
+    canonical = (elevated_staircase(n).text, elevated_staircase(n + k).text)
+    best: int | None = None
+    attaining: list[dict] = []
+    pairs = 0
+    for top, levels, column in _top_windows(generate_all(n + k), n):
+        for p in sorted(levels[-1], key=lex_text):
+            value = column[p]
+            size = value if signed else abs(value)
+            pairs += 1
+            if best is None or size > best:
+                best = size
+                attaining = [_witness(p, top, value)]
+            elif size == best:
+                attaining.append(_witness(p, top, value))
+    elapsed = int((time.perf_counter() - start) * 1000)
+    canonical_attains = any((w["bottom"], w["top"]) == canonical for w in attaining)
+    return ScanReport(
+        scan=scan,
+        scope={"n": n},
+        verdict="consistent" if best == expected and canonical_attains else "violated",
+        summary={
+            "pairs_checked": pairs,
+            expected_key: expected,
+            "observed_max": best if best is not None else 0,
+            "attaining": len(attaining),
+        },
+        witnesses=tuple(attaining),
+        elapsed_ms=elapsed,
+    )
+
+
 def scan_rank2_max(n: int, limit: int | None = None) -> ScanReport:
     """Maximum of mu over rank-2 intervals with bottom semilength n.
 
@@ -121,42 +209,7 @@ def scan_rank2_max(n: int, limit: int | None = None) -> ScanReport:
     attaining interval is unique, and the scan makes no such claim).
     """
     _check_scan_limit(n, RANK2_SCAN_CEILING, limit, "bottom semilength n =")
-    start = time.perf_counter()
-    expected = n * n
-    canonical = _witness(elevated_staircase(n), elevated_staircase(n + 2), expected)
-    bottom_anchor = staircase(1)
-    best: int | None = None
-    attaining: list[dict] = []
-    pairs = 0
-    for top in generate_all(n + 2):
-        model = build_interval(bottom_anchor, top)
-        bottoms = model.elements_by_rank.get(n, ())
-        if not bottoms:
-            continue
-        column = mobius_to_top(model)
-        for p in bottoms:
-            value = column[p]
-            pairs += 1
-            if best is None or value > best:
-                best = value
-                attaining = [_witness(p, top, value)]
-            elif value == best:
-                attaining.append(_witness(p, top, value))
-    elapsed = int((time.perf_counter() - start) * 1000)
-    consistent = best == expected and canonical in attaining
-    return ScanReport(
-        scan="rank2max",
-        scope={"n": n},
-        verdict="consistent" if consistent else "violated",
-        summary={
-            "pairs_checked": pairs,
-            "expected_max": expected,
-            "observed_max": best if best is not None else 0,
-            "attaining": len(attaining),
-        },
-        witnesses=tuple(attaining),
-        elapsed_ms=elapsed,
-    )
+    return _scan_rank_max("rank2max", 2, n, n * n, "expected_max", signed=True)
 
 
 def scan_rank3_max(n: int, limit: int | None = None) -> ScanReport:
@@ -166,47 +219,8 @@ def scan_rank3_max(n: int, limit: int | None = None) -> ScanReport:
     pair; the verdict reflects the scanned range only.
     """
     _check_scan_limit(n, RANK3_SCAN_CEILING, limit, "bottom semilength n =")
-    start = time.perf_counter()
     expected = (2 * n + 1) * n * n
-    canonical_bottom = elevated_staircase(n)
-    canonical_top = elevated_staircase(n + 3)
-    bottom_anchor = staircase(1)
-    best: int | None = None
-    attaining: list[dict] = []
-    pairs = 0
-    for top in generate_all(n + 3):
-        model = build_interval(bottom_anchor, top)
-        bottoms = model.elements_by_rank.get(n, ())
-        if not bottoms:
-            continue
-        column = mobius_to_top(model)
-        for p in bottoms:
-            value = column[p]
-            pairs += 1
-            if best is None or abs(value) > best:
-                best = abs(value)
-                attaining = [_witness(p, top, value)]
-            elif abs(value) == best:
-                attaining.append(_witness(p, top, value))
-    elapsed = int((time.perf_counter() - start) * 1000)
-    canonical_attains = any(
-        w["bottom"] == canonical_bottom.text and w["top"] == canonical_top.text
-        for w in attaining
-    )
-    consistent = best == expected and canonical_attains
-    return ScanReport(
-        scan="rank3max",
-        scope={"n": n},
-        verdict="consistent" if consistent else "violated",
-        summary={
-            "pairs_checked": pairs,
-            "conjectured_max": expected,
-            "observed_max": best if best is not None else 0,
-            "attaining": len(attaining),
-        },
-        witnesses=tuple(attaining),
-        elapsed_ms=elapsed,
-    )
+    return _scan_rank_max("rank3max", 3, n, expected, "conjectured_max", signed=False)
 
 
 def sweep_cover_count(max_semilength: int, limit: int | None = None) -> ScanReport:

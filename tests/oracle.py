@@ -1,12 +1,24 @@
-"""Generate-and-filter cover relation: the oracle for the cover kernels.
+"""Slow routes that the fast kernels and scans are checked against.
 
-It shares no code with `poset.covers_of` or `poset.deletion_children`: it
+Generate-and-filter cover relation: the oracle for the cover kernels.  It
+shares no code with `poset.covers_of` or `poset.deletion_children`: it
 generates every word one rank up or down and keeps those that `contains`
 relates to the given word.  Its cost grows with a Catalan number, so it is
 used on small semilengths only.
+
+Full-interval Möbius scans: the oracle for the windowed scans.  They build
+each whole interval [UD, top] with `build_interval`, whose rank walk tests
+containment, and read the Möbius column of the materialized model.
 """
 
-from dyckposet import contains, generate_all
+from dyckposet import (
+    build_interval,
+    contains,
+    elevated_staircase,
+    generate_all,
+    staircase,
+)
+from dyckposet.scans import mobius_to_top
 
 
 def covers_of(word):
@@ -19,3 +31,82 @@ def covered_by(word):
     if word.semilength <= 1:
         return ()
     return tuple(w for w in generate_all(word.semilength - 1) if contains(w, word))
+
+
+def _scan_payload(scan, scope, consistent, summary, witnesses):
+    """A scan-report/1 payload without its elapsed_ms entry."""
+    return {
+        "schema": "dyckposet/scan-report/1",
+        "scan": scan,
+        "scope": scope,
+        "verdict": "consistent" if consistent else "violated",
+        "summary": summary,
+        "witnesses": witnesses,
+    }
+
+
+def _witness(bottom, top, value):
+    return {"bottom": bottom.text, "top": top.text, "mu": value}
+
+
+def scan_rank_max(k, n):
+    """The rank-k maximum scan by materializing the whole interval [UD, top].
+
+    Walks every top of semilength n + k through build_interval and reads
+    the top-anchored Möbius column of the whole model, not a window of k
+    ranks.  Rank 2 compares mu, rank 3 compares |mu|.
+    """
+    signed = k == 2
+    expected = n * n if signed else (2 * n + 1) * n * n
+    canonical = (elevated_staircase(n).text, elevated_staircase(n + k).text)
+    best = None
+    attaining = []
+    pairs = 0
+    for top in generate_all(n + k):
+        model = build_interval(staircase(1), top)
+        column = mobius_to_top(model)
+        for p in model.elements_by_rank.get(n, ()):
+            value = column[p]
+            size = value if signed else abs(value)
+            pairs += 1
+            if best is None or size > best:
+                best = size
+                attaining = [_witness(p, top, value)]
+            elif size == best:
+                attaining.append(_witness(p, top, value))
+    canonical_attains = any((w["bottom"], w["top"]) == canonical for w in attaining)
+    return _scan_payload(
+        f"rank{k}max",
+        {"n": n},
+        best == expected and canonical_attains,
+        {
+            "pairs_checked": pairs,
+            "expected_max" if signed else "conjectured_max": expected,
+            "observed_max": best if best is not None else 0,
+            "attaining": len(attaining),
+        },
+        attaining,
+    )
+
+
+def scan_alternating(max_top_semilength):
+    """The Möbius sign scan by materializing every interval [UD, top]."""
+    pairs = 0
+    violations = []
+    for s in range(1, max_top_semilength + 1):
+        for top in generate_all(s):
+            model = build_interval(staircase(1), top)
+            column = mobius_to_top(model)
+            for x in model.elements():
+                value = column[x]
+                pairs += 1
+                even_rank = (s - x.semilength) % 2 == 0
+                if value < 0 if even_rank else value > 0:
+                    violations.append(_witness(x, top, value))
+    return _scan_payload(
+        "alternating",
+        {"max_top_semilength": max_top_semilength},
+        not violations,
+        {"pairs_checked": pairs, "violations": len(violations)},
+        violations,
+    )

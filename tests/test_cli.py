@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import dyckposet
+from dyckposet import build_interval, parse_word
 from dyckposet.cli import main
 
 
@@ -91,6 +92,11 @@ def test_interval_views():
     assert "rank 2: UUDD UDUD" in out
     code, out, _ = run("interval", "UD", "UDUDUD", "--edges")
     assert "UD UUDD" in out
+    for bottom, top in [("UD", "UDUDUD"), ("UUDD", "UUDUDUDD"), ("UD", "UD")]:
+        code, out, _ = run("interval", bottom, top, "--edges")
+        model = build_interval(parse_word(bottom), parse_word(top))
+        expected = "".join(f"{lo.text} {up.text}\n" for lo, up in model._edges())
+        assert (code, out) == (0, expected)
     code, out, _ = run("interval", "UD", "UDUDUD", "--dot")
     assert out.startswith("digraph interval {")
 

@@ -280,13 +280,6 @@ def test_both_mobius_anchors_match_oracle_beyond(bottom_text, top_text):
     assert_both_anchors_match_oracle(parse_word(bottom_text), parse_word(top_text))
 
 
-def test_mobius_sweep_rejects_an_unknown_anchor():
-    from dyckposet.poset import _mobius_sweep
-
-    with pytest.raises(ArgumentOutOfRangeError):
-        _mobius_sweep(build_interval(UD, staircase(3)), "middle")
-
-
 def test_mobius_examples():
     assert mobius(UD, UD) == 1
     assert mobius(UD, parse_word("UUUDUDDD")) == 0

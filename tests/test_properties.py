@@ -5,7 +5,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from dyckposet import cover_count_formula, covers_of, deletion_children, parse_word
+from dyckposet import (
+    build_interval,
+    cover_count_formula,
+    covers_of,
+    deletion_children,
+    parse_word,
+)
+from dyckposet.scans import _top_windows
 from dyckposet.words import lex_key
 
 
@@ -89,3 +96,18 @@ def test_insertion_and_deletion_kernels_are_mutually_inverse(word):
         assert word in deletion_children(cover)
     for child in deletion_children(word):
         assert word in covers_of(child)
+
+
+@settings(max_examples=20, deadline=None)
+@given(dyck_words(max_semilength=14), st.sampled_from([2, 3]), st.data())
+def test_windowed_column_matches_bottom_anchored_mobius(top, k, data):
+    # The scans' window holds mu(p, top) anchored at the top; each sampled
+    # value must equal mu(p, top) anchored at the bottom of the materialized
+    # [p, top].  A window can hold thousands of words, so each rank is sampled.
+    ((_, levels, column),) = _top_windows([top], top.semilength - k)
+    assert len(levels) == k + 1
+    assert {len(p) for p in levels[-1]} == {2 * (top.semilength - k)}
+    for level in levels:
+        sample = st.lists(st.sampled_from(sorted(level)), min_size=1, max_size=4)
+        for p in data.draw(sample):
+            assert column[p] == build_interval(parse_word(p), top).mobius()

@@ -1,10 +1,12 @@
 """Conjecture-lab scans: verdicts, witnesses, ceilings, determinism."""
 
+import oracle
 import pytest
 
 from dyckposet import (
     LimitExceededError,
     build_interval,
+    elevated_staircase,
     generate_all,
     mobius,
     scan_alternating,
@@ -13,7 +15,7 @@ from dyckposet import (
     staircase,
     sweep_cover_count,
 )
-from dyckposet.scans import mobius_to_top
+from dyckposet.scans import RANK2_SCAN_CEILING, mobius_to_top
 
 
 def test_scan_alternating_small():
@@ -49,7 +51,7 @@ def test_scan_rank2_records_staircase_pair_value():
 
 
 def test_scan_rank2_max_holds_to_ceiling():
-    for n in range(1, 6):
+    for n in range(1, RANK2_SCAN_CEILING + 1):
         report = scan_rank2_max(n)
         assert report.consistent
         assert report.summary["observed_max"] == n * n
@@ -63,11 +65,20 @@ def test_scan_rank3_max_small():
         assert report.summary["observed_max"] == expected
 
 
+def test_scan_rank3_max_at_n5_is_attained_by_the_elevated_staircases():
+    report = scan_rank3_max(5)
+    assert report.consistent
+    assert report.summary["pairs_checked"] == 39175
+    assert report.summary["observed_max"] == 275
+    canonical = (elevated_staircase(5).text, elevated_staircase(8).text)
+    assert canonical in [(w["bottom"], w["top"]) for w in report.witnesses]
+
+
 def test_scan_ceilings():
     with pytest.raises(LimitExceededError):
-        scan_rank2_max(6)
+        scan_rank2_max(8)
     with pytest.raises(LimitExceededError):
-        scan_rank3_max(5)
+        scan_rank3_max(7)
     with pytest.raises(LimitExceededError):
         sweep_cover_count(8)
 
@@ -105,3 +116,24 @@ def test_scan_report_json_schema():
     assert set(payload) == {
         "schema", "scan", "scope", "verdict", "summary", "witnesses", "elapsed_ms",
     }
+
+
+def payload(report):
+    result = report.to_json_dict()
+    result.pop("elapsed_ms")
+    return result
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_scan_rank2_max_equals_the_full_interval_oracle(n):
+    assert payload(scan_rank2_max(n)) == oracle.scan_rank_max(2, n)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_scan_rank3_max_equals_the_full_interval_oracle(n):
+    assert payload(scan_rank3_max(n)) == oracle.scan_rank_max(3, n)
+
+
+@pytest.mark.parametrize("max_top", range(0, 7))
+def test_scan_alternating_equals_the_full_interval_oracle(max_top):
+    assert payload(scan_alternating(max_top)) == oracle.scan_alternating(max_top)
