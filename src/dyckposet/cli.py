@@ -144,11 +144,11 @@ def interval_command(ctx: click.Context, bottom: str, top: str, view: str) -> No
     elif view == "dot":
         click.echo(interval_to_dot(model), nl=False)
     elif view == "edges":
-        lines = "".join(f"{lo.text} {up.text}\n" for lo, up in model._edges())
+        lines = "".join(f"{lo} {up}\n" for lo, up in model._text_edges())
         click.echo(lines, nl=False)
     elif view == "elements":
         for r in model.rank_span:
-            row = " ".join(w.text for w in model.elements_by_rank[r])
+            row = " ".join(model.text_ranks[r])
             click.echo(f"rank {r}: {row}")
     else:
         for r in model.rank_span:

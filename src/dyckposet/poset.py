@@ -5,12 +5,17 @@ after which element counts, saturated chains, cover statistics and the Möbius
 function are all computed directly from their definitions.  This engine is
 the independent oracle that every closed formula in the library is tested
 against.
+
+The hot path works on step texts (plain str, hashed and sorted in C): the
+deletion kernel, the rank walk, the interval's tables, the Möbius sweep and
+the renderings.  DyckWord objects are made only at the public boundary, one
+per element and never one per edge.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import compress
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Iterable, Iterator, Mapping
 
 from .errors import (
@@ -23,9 +28,9 @@ from .errors import (
 from .words import (
     DEFAULT_GENERATION_CEILING,
     DyckWord,
+    _contains_text,
+    _lex_sorted,
     contains,
-    lex_key,
-    lex_text,
 )
 
 
@@ -63,7 +68,7 @@ def covers_of(word: DyckWord) -> tuple[DyckWord, ...]:
                 break
             if text[j - 1] == "U":
                 seen.add(text[:j] + "D" + text[j:i] + "U" + tail)
-    return tuple(DyckWord._wrap(t) for t in sorted(seen, key=lex_text))
+    return tuple(map(DyckWord._wrap, _lex_sorted(seen)))
 
 
 def covered_by(word: DyckWord) -> tuple[DyckWord, ...]:
@@ -74,7 +79,12 @@ def covered_by(word: DyckWord) -> tuple[DyckWord, ...]:
 
 
 def deletion_children(word: DyckWord) -> tuple[DyckWord, ...]:
-    """Words covered by `word`, lexicographic (U < D), by one pass of slicing.
+    """Words covered by `word`, lexicographic (U < D): see _deletion_texts."""
+    return tuple(map(DyckWord._wrap, _deletion_texts(word.text)))
+
+
+def _deletion_texts(text: str) -> list[str]:
+    """Step texts covered by `text`, lexicographic (U < D), by one pass of slicing.
 
     Covering in this poset is the removal of one U and one D.  Removing any
     step of a run gives the same word, so it suffices to drop the last U of
@@ -86,7 +96,6 @@ def deletion_children(word: DyckWord) -> tuple[DyckWord, ...]:
     The tests check it against generate-and-filter; its cost is bounded by
     the peak count, not by a Catalan number.
     """
-    text = word.text
     peaks: list[int] = []  # position of the U of each peak
     factor_of: list[int] = []  # factor (ground-to-ground block) of each peak
     height = 0
@@ -112,74 +121,107 @@ def deletion_children(word: DyckWord) -> tuple[DyckWord, ...]:
             elif factor_of[j] == factor_of[i]:
                 seen.add(text[:up] + text[up + 1 : down] + text[down + 1 :])
     seen.discard("")
-    return tuple(DyckWord._wrap(t) for t in sorted(seen, key=lex_text))
+    return _lex_sorted(seen)
 
 
 @dataclass
 class IntervalModel:
     """A materialized interval: elements by rank plus the Hasse covers.
 
-    Ranks run from semilength(bottom) to semilength(top) inclusive; rank sets
-    are sorted lexicographically (U < D) so that all derived output is
-    deterministic.  Instances are not mutated after construction apart from
-    the lazily cached Möbius table.
+    Ranks run from semilength(bottom) to semilength(top) inclusive.  The model
+    holds three tables of step texts, fixed at construction: `text_ranks`
+    maps each rank to its elements, and `text_covers_down`/`text_covers_up`
+    map each element to its covers one rank down/up inside the interval, all
+    sorted lexicographically (U < D) so that every derived output is
+    deterministic.  Each element is one str object shared by the three.
+    Counts, chains, deltas, membership, the Möbius function and the
+    renderings read these tables.
+
+    `elements_by_rank`, `covers_down`, `covers_up` and `members` are the same
+    tables over DyckWords.  They are built on first access, with one DyckWord
+    per element shared by all four, and cached, as is the Möbius column; the
+    text tables never change.
     """
 
     bottom: DyckWord
     top: DyckWord
-    elements_by_rank: dict[int, tuple[DyckWord, ...]]
-    covers_down: dict[DyckWord, tuple[DyckWord, ...]]
-    covers_up: dict[DyckWord, tuple[DyckWord, ...]]
-    members: frozenset[DyckWord]
-    _mobius_from_bottom: dict[DyckWord, int] | None = field(
-        default=None, repr=False, compare=False
-    )
+    text_ranks: dict[int, tuple[str, ...]]
+    text_covers_down: dict[str, tuple[str, ...]]
+    text_covers_up: dict[str, tuple[str, ...]]
 
     @property
     def rank_span(self) -> range:
         return range(self.bottom.semilength, self.top.semilength + 1)
+
+    @cached_property
+    def _words(self) -> dict[str, DyckWord]:
+        """One DyckWord per element, shared by the four DyckWord views."""
+        return {w: DyckWord._wrap(w) for w in self.text_covers_down}
+
+    @cached_property
+    def elements_by_rank(self) -> dict[int, tuple[DyckWord, ...]]:
+        word = self._words.__getitem__
+        return {r: tuple(map(word, level)) for r, level in self.text_ranks.items()}
+
+    def _cover_view(
+        self, table: dict[str, tuple[str, ...]]
+    ) -> dict[DyckWord, tuple[DyckWord, ...]]:
+        word = self._words.__getitem__
+        return {word(w): tuple(map(word, covers)) for w, covers in table.items()}
+
+    @cached_property
+    def covers_down(self) -> dict[DyckWord, tuple[DyckWord, ...]]:
+        return self._cover_view(self.text_covers_down)
+
+    @cached_property
+    def covers_up(self) -> dict[DyckWord, tuple[DyckWord, ...]]:
+        return self._cover_view(self.text_covers_up)
+
+    @cached_property
+    def members(self) -> frozenset[DyckWord]:
+        return frozenset(self._words.values())
 
     def elements(self) -> Iterator[DyckWord]:
         """All elements, rank by rank, lexicographic within each rank."""
         for r in self.rank_span:
             yield from self.elements_by_rank[r]
 
-    def __contains__(self, word: DyckWord) -> bool:
-        return word in self.members
+    def __contains__(self, word: object) -> bool:
+        return isinstance(word, DyckWord) and word.text in self.text_covers_down
 
-    def _edges(self) -> Iterator[tuple[DyckWord, DyckWord]]:
+    def _text_edges(self) -> Iterator[tuple[str, str]]:
         """Hasse edges (lower, upper), rank by rank, lexicographic within each."""
         for r in self.rank_span[:-1]:
-            for lower in self.elements_by_rank[r]:
-                for upper in self.covers_up[lower]:
+            for lower in self.text_ranks[r]:
+                for upper in self.text_covers_up[lower]:
                     yield lower, upper
 
     @property
     def hasse_edges(self) -> tuple[tuple[DyckWord, DyckWord], ...]:
-        return tuple(self._edges())
+        word = self._words.__getitem__
+        return tuple((word(lo), word(up)) for lo, up in self._text_edges())
 
     def s0(self) -> int:
         """Number of elements (saturated chains of length 0)."""
-        return len(self.members)
+        return len(self.text_covers_down)
 
     def s0_by_rank(self, k: int) -> int:
         if k not in self.rank_span:
             raise RankOutOfRangeError(
                 f"rank {k} outside [{self.rank_span.start}, {self.rank_span.stop - 1}]"
             )
-        return len(self.elements_by_rank[k])
+        return len(self.text_ranks[k])
 
     def s1(self) -> int:
         """Number of Hasse edges (saturated chains of length 1)."""
-        return sum(len(v) for v in self.covers_down.values())
+        return sum(map(len, self.text_covers_down.values()))
 
-    def _chain_counts(self, ell: int) -> dict[DyckWord, int]:
+    def _chain_counts(self, ell: int) -> dict[str, int]:
         # counts[w] = saturated chains of length ell whose top element is w
-        counts = {w: 1 for w in self.members}
+        down = self.text_covers_down
+        counts = dict.fromkeys(down, 1)
         for _ in range(ell):
-            counts = {
-                w: sum(counts[c] for c in self.covers_down[w]) for w in self.members
-            }
+            counts = {w: sum(counts[c] for c in covers) for w, covers in down.items()}
         return counts
 
     def s_ell(self, ell: int) -> int:
@@ -193,44 +235,42 @@ class IntervalModel:
         if ell < 0:
             raise ArgumentOutOfRangeError("chain length must be nonnegative")
         counts = self._chain_counts(ell)
-        return sum(counts[w] for w in self.elements_by_rank.get(k, ()))
+        return sum(counts[w] for w in self.text_ranks.get(k, ()))
 
     def delta(self, word: DyckWord) -> int:
         """Number of interval elements covered by `word` (inside the interval)."""
-        if word not in self.members:
+        if word not in self:
             raise ElementNotInIntervalError(
                 f"{word} is not an element of [{self.bottom}, {self.top}]"
             )
-        return len(self.covers_down[word])
+        return len(self.text_covers_down[word.text])
 
     def delta_histogram(self) -> dict[int, int]:
         """Map t -> number of elements covering exactly t interval elements."""
         hist: dict[int, int] = {}
-        for covered in self.covers_down.values():
+        for covered in self.text_covers_down.values():
             t = len(covered)
             hist[t] = hist.get(t, 0) + 1
         return dict(sorted(hist.items()))
 
+    @cached_property
+    def _mobius_column(self) -> dict[str, int]:
+        """mu(bottom, x) keyed by the step text of x, in elements() order."""
+        levels = (self.text_ranks[r] for r in self.rank_span)
+        return _mobius_sweep(levels, self.text_covers_down, self.bottom.text)
+
     def mobius_table(self) -> dict[DyckWord, int]:
         """mu(bottom, x) for every element x, anchored at the bottom.
 
-        A cached thin wrapper around the one Möbius recursion, _mobius_sweep,
-        swept upward; its top-anchored twin is scans.mobius_to_top.
+        A new dict over the cached column of the one Möbius recursion,
+        _mobius_sweep, swept upward; its top-anchored twin is
+        scans.mobius_to_top.
         """
-        if self._mobius_from_bottom is None:
-            levels = (self.elements_by_rank[r] for r in self.rank_span)
-            self._mobius_from_bottom = _mobius_sweep(
-                levels, self.covers_down, self.bottom
-            )
-        return self._mobius_from_bottom
+        return {DyckWord._wrap(w): value for w, value in self._mobius_column.items()}
 
     def mobius(self) -> int:
         """mu(bottom, top)."""
-        return self.mobius_table()[self.top]
-
-
-# Maps the ASCII digits of bin() to the 0/1 selector bytes itertools.compress reads.
-_BIT_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
+        return self._mobius_column[self.top.text]
 
 
 def _mobius_sweep(
@@ -246,34 +286,60 @@ def _mobius_sweep(
     is mu(bottom, x); swept downward from the top through the up-covers, it is
     mu(x, top).  mu(origin, origin) = 1, and every other value is minus the sum
     of the values strictly between x and the origin.  Any hashable element
-    type works: the interval model passes DyckWords, the scans step texts.
+    type works; the interval model and the scans pass step texts.
 
     Elements are numbered in sweep order, so every element on the origin's
     side of x has a smaller index.  The closed set between the origin and x is
     an int bitmask: the bit of x or-ed with the masks of x's covers toward the
     origin.  Only the previous rank's masks are kept, since covers join
-    consecutive ranks.  The sum over the strict part of the set runs in C:
-    the reversed binary digits of the mask select from the values computed so
-    far, and the bit of x itself lies past their end.
+    consecutive ranks.
+
+    The values computed so far are held as bit planes: bit i of planes[b][0]
+    (planes[b][1]) is set iff value i is positive (negative) and bit b of its
+    absolute value is 1.  The strict sum over a mask is then the sum over b
+    of 2^b times the popcount of mask & planes[b][0] minus that of
+    mask & planes[b][1]: exact, in Python ints, one pair of popcounts per bit
+    of the largest value.  No element lies strictly between the origin and
+    another element of its own level, so the planes take in a level's values
+    once the level is done, visiting only the set bits of each.
     """
-    values: list[int] = []
-    order: list[Hashable] = []
+    column: dict[Hashable, int] = {}
+    planes: list[list[int]] = []
     previous: dict[Hashable, int] = {}
+    index = 0
     for level in levels:
         current: dict[Hashable, int] = {}
+        nonzero: list[tuple[int, int]] = []  # (bit of x, mu) for this level
         for w in level:
-            mask = 1 << len(values)
+            mask = 0
             for z in toward_origin[w]:
                 mask |= previous[z]
-            current[w] = mask
             if w == origin:
-                values.append(1)
+                value = 1
             else:
-                selectors = bin(mask)[:1:-1].encode().translate(_BIT_SELECTORS)
-                values.append(-sum(compress(values, selectors)))
-            order.append(w)
+                total = 0
+                for b, (positive, negative) in enumerate(planes):
+                    gain = (mask & positive).bit_count() - (mask & negative).bit_count()
+                    total += gain << b
+                value = -total
+            bit = 1 << index
+            index += 1
+            current[w] = mask | bit
+            column[w] = value
+            if value:
+                nonzero.append((bit, value))
+        for bit, value in nonzero:
+            sign = value < 0
+            size = -value if sign else value
+            while size:
+                low = size & -size
+                b = low.bit_length() - 1
+                while len(planes) <= b:
+                    planes.append([0, 0])
+                planes[b][sign] |= bit
+                size ^= low
         previous = current
-    return dict(zip(order, values))
+    return column
 
 
 def build_interval(
@@ -281,8 +347,9 @@ def build_interval(
 ) -> IntervalModel:
     """Materialize [bottom, top] = {W : bottom <= W <= top}, rank by rank.
 
-    One walk runs downward from `top`: each element's deletion_children are
-    computed once, and the children that contain `bottom` are kept.  They
+    One walk runs downward from `top` over step texts: each element's
+    children under the deletion kernel are computed once, and the children
+    that contain `bottom` are kept.  They
     are exactly the element's Hasse covers inside the interval, since a child
     lies below an element below `top`, and together they form the next rank.
     Containment in `bottom` is tested at most once per candidate per rank.
@@ -304,23 +371,24 @@ def build_interval(
 
     lo = bottom.semilength
     hi = top.semilength
-    ranks: dict[int, tuple[DyckWord, ...]] = {hi: (top,)}
-    covers_down: dict[DyckWord, tuple[DyckWord, ...]] = {}
-    covers_up: dict[DyckWord, list[DyckWord]] = {top: []}
-    level: tuple[DyckWord, ...] = (top,)
+    pattern = bottom.text
+    level: tuple[str, ...] = (top.text,)
+    ranks: dict[int, tuple[str, ...]] = {hi: level}
+    covers_down: dict[str, tuple[str, ...]] = {}
+    covers_up: dict[str, list[str]] = {top.text: []}
     for r in range(hi - 1, lo - 1, -1):
         # kept maps each accepted child to its first instance, so that every
-        # table of the model shares one object per element.
-        kept: dict[DyckWord, DyckWord] = {}
-        rejected: set[DyckWord] = set()
+        # table of the model shares one string per element.
+        kept: dict[str, str] = {}
+        rejected: set[str] = set()
         for w in level:
             kids = []
-            for child in deletion_children(w):
+            for child in _deletion_texts(w):
                 element = kept.get(child)
                 if element is None:
                     if child in rejected:
                         continue
-                    if not contains(bottom, child):
+                    if not _contains_text(pattern, child):
                         rejected.add(child)
                         continue
                     element = kept[child] = child
@@ -328,16 +396,15 @@ def build_interval(
                 kids.append(element)
                 covers_up[element].append(w)
             covers_down[w] = tuple(kids)
-        level = tuple(sorted(kept, key=lex_key))
+        level = tuple(_lex_sorted(kept))
         ranks[r] = level
     for w in level:
         covers_down[w] = ()
 
-    members = frozenset(covers_down)
     # Each rank is walked in lexicographic order, so every up-cover list is
     # already sorted.
     frozen_up = {w: tuple(v) for w, v in covers_up.items()}
-    return IntervalModel(bottom, top, ranks, covers_down, frozen_up, members)
+    return IntervalModel(bottom, top, ranks, covers_down, frozen_up)
 
 
 def mobius(bottom: DyckWord, top: DyckWord, limit: int | None = None) -> int:
@@ -347,20 +414,17 @@ def mobius(bottom: DyckWord, top: DyckWord, limit: int | None = None) -> int:
 
 def interval_to_json_dict(model: IntervalModel) -> dict:
     """JSON rendering: bottom, top, ranks, edges and the Möbius table."""
-    table = model.mobius_table()
+    ranks = model.text_ranks
+    column = model._mobius_column
     return {
         "bottom": model.bottom.text,
         "top": model.top.text,
         "ranks": [
-            {
-                "r": r,
-                "count": len(model.elements_by_rank[r]),
-                "elements": [w.text for w in model.elements_by_rank[r]],
-            }
+            {"r": r, "count": len(ranks[r]), "elements": list(ranks[r])}
             for r in model.rank_span
         ],
-        "edges": [[lo.text, up.text] for lo, up in model._edges()],
-        "mobius": {w.text: table[w] for w in model.elements()},
+        "edges": [[lo, up] for lo, up in model._text_edges()],
+        "mobius": {w: column[w] for r in model.rank_span for w in ranks[r]},
     }
 
 
@@ -368,9 +432,9 @@ def interval_to_dot(model: IntervalModel) -> str:
     """Hasse diagram in DOT form, one same-rank group per semilength."""
     lines = ["digraph interval {", "  rankdir=BT;", "  node [shape=box];"]
     for r in model.rank_span:
-        row = " ".join(f'"{w.text}";' for w in model.elements_by_rank[r])
+        row = " ".join(f'"{w}";' for w in model.text_ranks[r])
         lines.append("  { rank=same; " + row + " }")
-    for lo, up in model._edges():
-        lines.append(f'  "{lo.text}" -> "{up.text}";')
+    for lo, up in model._text_edges():
+        lines.append(f'  "{lo}" -> "{up}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

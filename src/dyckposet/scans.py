@@ -1,11 +1,12 @@
 """Desk-scale scans over Möbius values and cover counts.
 
-The three Möbius scans run on one windowed walk: for each top word it steps
-down through deletion_children to the lowest rank the scan reads, then sweeps
-the poset engine's one Möbius recursion back down from the top, which gives
-mu(x, top) for every x in that window.  A rank-k scan reads only the k ranks
-below each top; the alternation scan walks down to UD, i.e. the whole initial
-interval.  Proposition-level facts (the rank-2 maximum, the cover-count
+The three Möbius scans run on one windowed walk over step texts: for each top
+word it steps down through the deletion kernel to the lowest rank the scan
+reads, then sweeps the poset engine's one Möbius recursion back down from the
+top, which gives mu(x, top) for every x in that window.  DyckWords are made
+only for the tops; witnesses are reported as texts.  A rank-k scan reads only
+the k ranks below each top; the alternation scan walks down to UD, i.e. the
+whole initial interval.  Proposition-level facts (the rank-2 maximum, the cover-count
 formula) are expected to hold and their violation is a build-breaking bug;
 conjecture-level scans (sign alternation, the rank-3 maximum) report what they
 see, because a counterexample would be a finding to surface, not an error to
@@ -21,8 +22,8 @@ from typing import Iterable, Iterator
 
 from .errors import LimitExceededError
 from .formulas import cover_count_formula
-from .poset import IntervalModel, _mobius_sweep, covers_of, deletion_children
-from .words import DyckWord, elevated_staircase, factors, generate_all, lex_text
+from .poset import IntervalModel, _deletion_texts, _mobius_sweep, covers_of
+from .words import DyckWord, _lex_sorted, elevated_staircase, factors, generate_all
 
 #: Scan-specific ceilings, sized to finish in seconds on a laptop.
 ALTERNATING_SCAN_CEILING = 6
@@ -76,11 +77,12 @@ def mobius_to_top(model: IntervalModel) -> dict[DyckWord, int]:
     """mu(x, top) for every interval element x, anchored at the top.
 
     A thin wrapper around the poset engine's one Möbius recursion, swept
-    downward from the top through the up-covers; it computes a whole column
-    of Möbius values in one pass.
+    downward from the top through the model's text tables; it computes a
+    whole column of Möbius values in one pass and wraps only its keys.
     """
-    levels = (model.elements_by_rank[r] for r in reversed(model.rank_span))
-    return _mobius_sweep(levels, model.covers_up, model.top)
+    levels = (model.text_ranks[r] for r in reversed(model.rank_span))
+    column = _mobius_sweep(levels, model.text_covers_up, model.top.text)
+    return {DyckWord._wrap(w): value for w, value in column.items()}
 
 
 def _top_windows(
@@ -108,9 +110,7 @@ def _top_windows(
             for w in levels[-1]:
                 kids = children.get(w)
                 if kids is None:
-                    kids = children[w] = tuple(
-                        c.text for c in deletion_children(DyckWord._wrap(w))
-                    )
+                    kids = children[w] = _deletion_texts(w)
                 for c in kids:
                     parents = reached.get(c)
                     if parents is None:
@@ -143,7 +143,7 @@ def scan_alternating(max_top_semilength: int, limit: int | None = None) -> ScanR
     for top, levels, column in _top_windows(tops, 1):
         # levels[i] lies i ranks below the top; report ranks ascending.
         for i in range(len(levels) - 1, -1, -1):
-            for x in sorted(levels[i], key=lex_text):
+            for x in _lex_sorted(levels[i]):
                 value = column[x]
                 pairs += 1
                 if value < 0 if i % 2 == 0 else value > 0:
@@ -175,7 +175,7 @@ def _scan_rank_max(
     attaining: list[dict] = []
     pairs = 0
     for top, levels, column in _top_windows(generate_all(n + k), n):
-        for p in sorted(levels[-1], key=lex_text):
+        for p in _lex_sorted(levels[-1]):
             value = column[p]
             size = value if signed else abs(value)
             pairs += 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     ArgumentOutOfRangeError,
@@ -43,6 +43,17 @@ _LEX_TRANSLATION = str.maketrans("UD", "01")
 def lex_text(text: str) -> str:
     """Translate a step string into a form whose natural order is U < D."""
     return text.translate(_LEX_TRANSLATION)
+
+
+def _lex_sorted(texts: Iterable[str]) -> list[str]:
+    """Step strings sorted lexicographically with U < D; all must have one length.
+
+    Since 'D' < 'U' in ASCII, for equal lengths this order is exactly reverse
+    string order, so the sort runs in C with no key function.  Strings of
+    different lengths would come out wrong: a proper prefix sorts after its
+    extensions here but before them under lex_text.
+    """
+    return sorted(texts, reverse=True)
 
 
 def _check_steps(text: str) -> None:
@@ -141,8 +152,11 @@ def contains(pattern: DyckWord, word: DyckWord) -> bool:
     step of `pattern` whenever it appears.  For subsequence containment the
     greedy scan succeeds exactly when some occurrence exists.
     """
-    p = pattern.text
-    q = word.text
+    return _contains_text(pattern.text, word.text)
+
+
+def _contains_text(p: str, q: str) -> bool:
+    """contains() on step strings."""
     if len(p) > len(q):
         return False
     if not p:

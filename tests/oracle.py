@@ -1,19 +1,23 @@
 """Slow routes that the fast kernels and scans are checked against.
 
 Generate-and-filter cover relation: the oracle for the cover kernels.  It
-shares no code with `poset.covers_of` or `poset.deletion_children`: it
-generates every word one rank up or down and keeps those that `contains`
-relates to the given word.  Its cost grows with a Catalan number, so it is
-used on small semilengths only.
+shares no code with `poset.covers_of` or `poset.deletion_children`: for each
+pair of consecutive semilengths it generates every word of the upper one,
+lists all of that word's subsequences two steps shorter with
+`itertools.combinations`, keeps the Dyck ones, and inverts the relation.
+Each relation is computed once and kept.  Its cost grows with a Catalan
+number, so it is used on small semilengths only.
 
 Full-interval Möbius scans: the oracle for the windowed scans.  They build
 each whole interval [UD, top] with `build_interval`, whose rank walk tests
 containment, and read the Möbius column of the materialized model.
 """
 
+import functools
+from itertools import combinations
+
 from dyckposet import (
     build_interval,
-    contains,
     elevated_staircase,
     generate_all,
     staircase,
@@ -21,16 +25,48 @@ from dyckposet import (
 from dyckposet.scans import mobius_to_top
 
 
+def _is_dyck(steps):
+    height = 0
+    for step in steps:
+        height += 1 if step == "U" else -1
+        if height < 0:
+            return False
+    return height == 0
+
+
+@functools.lru_cache(maxsize=None)
+def _containment(n):
+    """The containment relation between semilengths n and n + 1.
+
+    Returns (up, down): up maps the text of each word of semilength n to the
+    words of semilength n + 1 that contain it, down maps the text of each
+    word of semilength n + 1 to the words of semilength n it contains; both
+    lists are in generation order, which is lexicographic (U < D).
+    """
+    lower = generate_all(n)
+    upper = generate_all(n + 1)
+    up = {w.text: [] for w in lower}
+    for w in upper:
+        for sub in {"".join(c) for c in combinations(w.text, 2 * n)}:
+            if _is_dyck(sub):
+                up[sub].append(w)
+    down = {w.text: [] for w in upper}
+    for w in lower:
+        for u in up[w.text]:
+            down[u.text].append(w)
+    return up, down
+
+
 def covers_of(word):
     """All words one rank up that contain `word`."""
-    return tuple(w for w in generate_all(word.semilength + 1) if contains(word, w))
+    return tuple(_containment(word.semilength)[0][word.text])
 
 
 def covered_by(word):
     """All words one rank down, of semilength >= 1, that `word` contains."""
     if word.semilength <= 1:
         return ()
-    return tuple(w for w in generate_all(word.semilength - 1) if contains(w, word))
+    return tuple(_containment(word.semilength - 1)[1][word.text])
 
 
 def _scan_payload(scan, scope, consistent, summary, witnesses):

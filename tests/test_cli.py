@@ -95,7 +95,7 @@ def test_interval_views():
     for bottom, top in [("UD", "UDUDUD"), ("UUDD", "UUDUDUDD"), ("UD", "UD")]:
         code, out, _ = run("interval", bottom, top, "--edges")
         model = build_interval(parse_word(bottom), parse_word(top))
-        expected = "".join(f"{lo.text} {up.text}\n" for lo, up in model._edges())
+        expected = "".join(f"{lo.text} {up.text}\n" for lo, up in model.hasse_edges)
         assert (code, out) == (0, expected)
     code, out, _ = run("interval", "UD", "UDUDUD", "--dot")
     assert out.startswith("digraph interval {")

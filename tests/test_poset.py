@@ -1,5 +1,6 @@
 """Interval engine: construction, chains, covers, Möbius recursion."""
 
+import itertools
 import time
 
 import oracle
@@ -16,6 +17,7 @@ from dyckposet import (
     covered_by,
     covers_of,
     deletion_children,
+    elevated_staircase,
     generate_all,
     interval_to_dot,
     interval_to_json_dict,
@@ -25,6 +27,7 @@ from dyckposet import (
     staircase,
     two_peak,
 )
+from dyckposet.poset import _mobius_sweep
 from dyckposet.scans import mobius_to_top
 
 UD = staircase(1)
@@ -319,3 +322,108 @@ def test_dot_export_contains_rank_groups_and_edges():
     assert dot.count("rank=same") == 3
     assert '"UD" -> "UUDD";' in dot
     assert dot.endswith("}\n")
+
+
+def naive_column(levels, toward_origin, origin):
+    """The Möbius column from frozenset closed sets, with no bitmasks."""
+    closed = {}
+    column = {}
+    for level in levels:
+        for x in level:
+            closed[x] = frozenset({x}).union(*(closed[z] for z in toward_origin[x]))
+            column[x] = 1 if x == origin else -sum(
+                column[z] for z in closed[x] if z != x
+            )
+    return column
+
+
+@pytest.mark.parametrize("top", [staircase(10), elevated_staircase(10)])
+def test_mobius_sweep_equals_a_naive_down_set_sum(top):
+    model = build_interval(UD, top)
+    upward = [model.text_ranks[r] for r in model.rank_span]
+    for levels, covers, origin in [
+        (upward, model.text_covers_down, UD.text),
+        (upward[::-1], model.text_covers_up, top.text),
+    ]:
+        expected = naive_column(levels, covers, origin)
+        assert _mobius_sweep(levels, covers, origin) == expected
+    # Values of both signs, some of several bits, occur in the columns.
+    values = set(naive_column(upward, model.text_covers_down, UD.text).values())
+    assert min(values) < -1000 and max(values) > 1000
+
+
+def test_north_star_mobius_values_cross_32_bits():
+    # |mu| passes 2^30 and 2^32: both need bit planes past a machine word's
+    # sign bit, and the columns hold values of both signs below them.
+    assert mobius(UD, staircase(12)) == -1_967_611_099
+    assert mobius(UD, elevated_staircase(12)) == -4_357_790_783
+
+
+@pytest.mark.parametrize("k", range(0, 9))
+def test_mobius_sweep_on_a_boolean_lattice(k):
+    # mu(S, T) = (-1)^|T - S| on the subsets of a k-set, from either end.
+    full = frozenset(range(k))
+    subsets = [
+        [frozenset(c) for c in itertools.combinations(range(k), r)]
+        for r in range(k + 1)
+    ]
+    down = {s: [s - {i} for i in s] for level in subsets for s in level}
+    up = {s: [s | {i} for i in full - s] for level in subsets for s in level}
+    from_bottom = _mobius_sweep(subsets, down, frozenset())
+    to_top = _mobius_sweep(subsets[::-1], up, full)
+    for level in subsets:
+        for s in level:
+            assert from_bottom[s] == (-1) ** len(s)
+            assert to_top[s] == (-1) ** (k - len(s))
+
+
+VIEWS = ("elements_by_rank", "covers_down", "covers_up", "members", "_words")
+
+
+def test_queries_and_renderings_build_no_dyckword_view():
+    model = build_interval(UD, two_peak(2, 3, 1))
+    model.s0(), model.s1(), model.s0_by_rank(3), model.delta_histogram()
+    model.s_ell(2), model.mobius(), model.mobius_table(), mobius_to_top(model)
+    interval_to_json_dict(model), interval_to_dot(model)
+    assert UD in model and parse_word("UUUUUDDDDD") not in model
+    assert not set(VIEWS) & set(vars(model))
+    model.elements_by_rank
+    assert set(VIEWS) & set(vars(model)) == {"elements_by_rank", "_words"}
+
+
+@pytest.mark.parametrize(
+    "bottom_text, top_text",
+    [("UD", "UDUDUDUDUD"), ("UD", "UUUDDUUUDDDD"), ("UUDD", "UUDUDUDD"), ("UD", "UD")],
+)
+def test_views_equal_generate_and_filter_and_share_one_word_per_element(
+    bottom_text, top_text
+):
+    bottom, top = parse_word(bottom_text), parse_word(top_text)
+    model = build_interval(bottom, top)
+    reference = reference_elements(bottom, top)
+    elements = [w for r in reference for w in reference[r]]
+    below = {
+        w: tuple(v for v in reference.get(w.semilength - 1, ()) if contains(v, w))
+        for w in elements
+    }
+    above = {
+        w: tuple(v for v in reference.get(w.semilength + 1, ()) if contains(w, v))
+        for w in elements
+    }
+    assert model.elements_by_rank == reference
+    assert model.covers_down == below
+    assert model.covers_up == above
+    assert model.members == frozenset(elements)
+    assert model.mobius_table() == oracle_mobius(bottom, top)[0]
+    # One DyckWord object per element across the four views.
+    one = {w.text: w for w in model.elements()}
+    assert len(one) == model.s0()
+    shared = [
+        *model.members,
+        *model.covers_down,
+        *model.covers_up,
+        *(w for covers in model.covers_down.values() for w in covers),
+        *(w for covers in model.covers_up.values() for w in covers),
+        *(w for edge in model.hasse_edges for w in edge),
+    ]
+    assert all(w is one[w.text] for w in shared)

@@ -15,7 +15,9 @@ from dyckposet import (
     staircase,
     sweep_cover_count,
 )
+from dyckposet import scans
 from dyckposet.scans import RANK2_SCAN_CEILING, mobius_to_top
+from dyckposet.words import lex_text
 
 
 def test_scan_alternating_small():
@@ -137,3 +139,42 @@ def test_scan_rank3_max_equals_the_full_interval_oracle(n):
 @pytest.mark.parametrize("max_top", range(0, 7))
 def test_scan_alternating_equals_the_full_interval_oracle(max_top):
     assert payload(scan_alternating(max_top)) == oracle.scan_alternating(max_top)
+
+
+def tied_windows(real):
+    """The real windows with every level reversed and every value set to -1."""
+
+    def windows(tops, lowest):
+        for top, levels, column in real(tops, lowest):
+            reordered = [sorted(level, key=lex_text, reverse=True) for level in levels]
+            yield top, reordered, dict.fromkeys(column, -1)
+
+    return windows
+
+
+@pytest.mark.parametrize("scan, n, k", [(scan_rank2_max, 3, 2), (scan_rank3_max, 2, 3)])
+def test_rank_scans_iterate_bottoms_lexicographically(monkeypatch, scan, n, k):
+    # At the scanned n no top has two witnesses, so the order the scan walks
+    # each top's bottoms in is observed here on windows where every pair
+    # ties for the maximum and each level arrives in reverse order.
+    monkeypatch.setattr(scans, "_top_windows", tied_windows(scans._top_windows))
+    report = scan(n)
+    tops = [w.text for w in generate_all(n + k)]
+    order = [(tops.index(w["top"]), lex_text(w["bottom"])) for w in report.witnesses]
+    assert len(order) == report.summary["pairs_checked"] > len(tops)
+    assert order == sorted(order)
+
+
+def test_alternating_scan_iterates_ranks_then_bottoms_lexicographically(monkeypatch):
+    # Every value -1 is a violation on each even rank difference; the
+    # violations come out tops in generation order, ranks ascending, then
+    # bottoms lexicographic (U < D), whatever order the window holds them in.
+    monkeypatch.setattr(scans, "_top_windows", tied_windows(scans._top_windows))
+    report = scan_alternating(5)
+    tops = [w.text for s in range(1, 6) for w in generate_all(s)]
+    order = [
+        (tops.index(w["top"]), len(w["bottom"]), lex_text(w["bottom"]))
+        for w in report.witnesses
+    ]
+    assert len(order) == report.summary["violations"] > len(tops)
+    assert order == sorted(order)

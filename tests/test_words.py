@@ -1,6 +1,7 @@
 """Dyck word parsing, statistics, containment and generation."""
 
 import itertools
+import random
 
 import pytest
 
@@ -27,6 +28,7 @@ from dyckposet import (
     statistics,
     two_peak,
 )
+from dyckposet.words import _lex_sorted, lex_text
 
 CATALAN_PREFIX = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012)
 
@@ -151,6 +153,22 @@ def test_generate_all_is_lexicographic():
     for n in range(2, 8):
         keys = [lex_key(w) for w in generate_all(n)]
         assert keys == sorted(keys)
+
+
+def test_lex_sorted_equals_the_lex_text_key_on_every_rank_up_to_9():
+    rng = random.Random(5)
+    for n in range(10):
+        texts = [w.text for w in generate_all(n)]
+        for sample in (texts, rng.sample(texts, len(texts) // 2)):
+            shuffled = rng.sample(sample, len(sample))
+            assert _lex_sorted(shuffled) == sorted(shuffled, key=lex_text)
+        assert _lex_sorted(reversed(texts)) == texts
+
+
+def test_lex_sorted_needs_equal_lengths():
+    # The documented precondition: a proper prefix sorts after its extension.
+    assert sorted(["UDUD", "UD"], key=lex_text) == ["UD", "UDUD"]
+    assert _lex_sorted(["UD", "UDUD"]) == ["UDUD", "UD"]
 
 
 def test_generate_all_caches_only_small_semilengths():
