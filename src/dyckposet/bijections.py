@@ -17,14 +17,14 @@ from dataclasses import dataclass
 from .errors import (
     ArgumentOutOfRangeError,
     InvalidMotzkinError,
-    LimitExceededError,
     NotTwoPeakError,
     OutOfGridError,
     UnbalancedError,
+    check_limit,
 )
-from .words import DyckWord, runs, two_peak
+from .words import DyckWord, _parse_steps, _StepWord, runs, two_peak
 
-#: Largest Motzkin word length the brute-force enumerator accepts by default.
+#: Largest Motzkin word length the brute-force enumerator accepts.
 DEFAULT_MOTZKIN_CEILING = 20
 
 _MOTZKIN_ALIASES = {
@@ -54,24 +54,11 @@ def _check_motzkin(text: str) -> None:
         raise InvalidMotzkinError(f"unbalanced word: {ups} U steps vs {downs} D steps")
 
 
-class MotzkinWord:
+class MotzkinWord(_StepWord):
     """Immutable word over {U, D, L} with balanced, prefix-nonnegative U/D."""
 
-    __slots__ = ("_text",)
-
-    def __init__(self, text: str) -> None:
-        _check_motzkin(text)
-        self._text = text
-
-    @classmethod
-    def _wrap(cls, text: str) -> "MotzkinWord":
-        word = object.__new__(cls)
-        word._text = text
-        return word
-
-    @property
-    def text(self) -> str:
-        return self._text
+    __slots__ = ()
+    _validate = staticmethod(_check_motzkin)
 
     @property
     def length(self) -> int:
@@ -82,30 +69,10 @@ class MotzkinWord:
         """True when no U step is immediately followed by a D step."""
         return "UD" not in self._text
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, MotzkinWord) and self._text == other._text
-
-    def __hash__(self) -> int:
-        return hash(self._text)
-
-    def __repr__(self) -> str:
-        return f"MotzkinWord({self._text!r})"
-
-    def __str__(self) -> str:
-        return self._text
-
 
 def parse_motzkin(text: str) -> MotzkinWord:
     """Parse case-insensitive U/D/L input into a MotzkinWord."""
-    if not text:
-        raise InvalidMotzkinError("empty input: expected a nonempty U/D/L step string")
-    steps = []
-    for pos, raw in enumerate(text):
-        step = _MOTZKIN_ALIASES.get(raw)
-        if step is None:
-            raise InvalidMotzkinError(f"invalid step {raw!r} at position {pos}")
-        steps.append(step)
-    return MotzkinWord("".join(steps))
+    return MotzkinWord(_parse_steps(text, _MOTZKIN_ALIASES, InvalidMotzkinError))
 
 
 def motzkin_to_dyck(word: MotzkinWord) -> DyckWord:
@@ -181,22 +148,16 @@ def _peakless_texts(length: int) -> tuple[str, ...]:
     return tuple(out)
 
 
-def generate_peakless_motzkin(
-    length: int, limit: int | None = None
-) -> tuple[MotzkinWord, ...]:
+def generate_peakless_motzkin(length: int) -> tuple[MotzkinWord, ...]:
     """All peak-less Motzkin words of exactly the given length.
 
-    Lengths up to 16 are cached; longer ones are enumerated afresh on every
-    call.
+    Lengths above DEFAULT_MOTZKIN_CEILING raise LimitExceededError; that
+    ceiling is fixed.  Lengths up to 16 are cached; longer ones are enumerated
+    afresh on every call.
     """
     if length < 0:
         raise ArgumentOutOfRangeError("length must be nonnegative")
-    ceiling = DEFAULT_MOTZKIN_CEILING if limit is None else limit
-    if length > ceiling:
-        raise LimitExceededError(
-            f"length {length} exceeds the Motzkin ceiling {ceiling}; "
-            "pass an explicit limit to override"
-        )
+    check_limit("Motzkin length", length, DEFAULT_MOTZKIN_CEILING)
     if length <= _CACHED_LENGTH:
         texts = _cached_peakless_texts(length)
     else:
@@ -204,12 +165,12 @@ def generate_peakless_motzkin(
     return tuple(MotzkinWord._wrap(t) for t in texts)
 
 
-def count_peakless_motzkin(length: int, limit: int | None = None) -> int:
+def count_peakless_motzkin(length: int) -> int:
     """Brute-force count of peak-less Motzkin words of exactly this length.
 
     Cumulative sums over lengths 1..n reproduce the staircase interval sizes.
     """
-    return len(generate_peakless_motzkin(length, limit))
+    return len(generate_peakless_motzkin(length))
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,7 @@ def _echo_json(payload: dict) -> None:
     "--limit",
     type=int,
     default=None,
-    help="Override the generation/scan ceilings (use with care).",
+    help="Override the interval and scan ceilings (use with care).",
 )
 @click.pass_context
 def cli(ctx: click.Context, limit: int | None) -> None:
@@ -180,10 +180,6 @@ def mobius_command(ctx: click.Context, bottom: str, top: str, as_json: bool) -> 
         click.echo(str(value))
 
 
-def _formula_word(raw: str) -> object:
-    return parse_word(raw)
-
-
 def _formula_int(raw: str) -> object:
     try:
         return int(raw)
@@ -198,7 +194,7 @@ _FORMULAS = {
     "staircase_size": (staircase_interval_size, (_formula_int,)),
     "embeddable_staircase": (
         lambda word, n: embeddable_in_staircase(runs(word), n),
-        (_formula_word, _formula_int),
+        (parse_word, _formula_int),
     ),
     "phi0": (phi0, (_formula_int, _formula_int)),
     "phih": (phih, (_formula_int, _formula_int, _formula_int)),
@@ -218,7 +214,7 @@ _FORMULAS = {
     "mobius_twopeak": (mobius_two_peak, (_formula_int, _formula_int, _formula_int)),
     "mobius_staircase_rank2": (mobius_staircase_rank2, (_formula_int,)),
     "mobius_elevated_rank2": (mobius_elevated_staircase_rank2, (_formula_int,)),
-    "cover_count": (cover_count_formula, (_formula_word,)),
+    "cover_count": (cover_count_formula, (parse_word,)),
 }
 
 
@@ -294,12 +290,10 @@ def verify_command(suite: str) -> None:
 
 
 _SCANS = {
-    "alternating": (
-        scan_alternating, "max_top_semilength", ALTERNATING_SCAN_CEILING, True
-    ),
-    "rank2max": (scan_rank2_max, "n", 4, False),
-    "rank3max": (scan_rank3_max, "n", 3, True),
-    "covercount": (sweep_cover_count, "max_semilength", COVER_SCAN_CEILING, False),
+    "alternating": (scan_alternating, ALTERNATING_SCAN_CEILING, True),
+    "rank2max": (scan_rank2_max, 4, False),
+    "rank3max": (scan_rank3_max, 3, True),
+    "covercount": (sweep_cover_count, COVER_SCAN_CEILING, False),
 }
 
 
@@ -320,14 +314,14 @@ def conjecture_command(
     if scan_id not in _SCANS:
         known = ", ".join(sorted(_SCANS))
         raise ArgumentOutOfRangeError(f"unknown scan {scan_id!r}; expected one of: {known}")
-    scan, bound_name, default_bound, conjecture_level = _SCANS[scan_id]
+    scan, default_bound, conjecture_level = _SCANS[scan_id]
     bound = default_bound if max_value is None else max_value
     report = scan(bound, limit=ctx.obj["limit"])
     if as_json:
         _echo_json(report.to_json_dict())
     else:
         click.echo(f"scan {report.scan}")
-        click.echo(f"scope {bound_name}={bound}")
+        click.echo("scope " + " ".join(f"{k}={v}" for k, v in report.scope.items()))
         click.echo(f"verdict {report.verdict}")
         for key, value in report.summary.items():
             click.echo(f"{key} {value}")

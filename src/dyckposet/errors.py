@@ -1,4 +1,4 @@
-"""Exception hierarchy for the Dyck pattern poset library."""
+"""Exception hierarchy for the Dyck pattern poset library, and the limit check."""
 
 
 class DyckPatternError(Exception):
@@ -55,3 +55,15 @@ class OutOfGridError(DyckPatternError):
 
 class LimitExceededError(DyckPatternError):
     """A generation, interval or scan request exceeded the configured ceiling."""
+
+
+def check_limit(what: str, value: int, ceiling: int, limit: int | None = None) -> None:
+    """Refuse `value` above the active bound: `limit` if given, else `ceiling`.
+
+    This is the library's one refusal point for resource limits.  The message
+    names the quantity, its value and the bound that refused it.
+    """
+    bound = ceiling if limit is None else limit
+    if value > bound:
+        kind = "ceiling" if limit is None else "limit"
+        raise LimitExceededError(f"{what} {value} exceeds the {kind} {bound}")

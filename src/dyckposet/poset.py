@@ -21,9 +21,9 @@ from typing import Hashable, Iterable, Iterator, Mapping
 from .errors import (
     ArgumentOutOfRangeError,
     ElementNotInIntervalError,
-    LimitExceededError,
     NotComparableError,
     RankOutOfRangeError,
+    check_limit,
 )
 from .words import (
     DEFAULT_GENERATION_CEILING,
@@ -71,16 +71,15 @@ def covers_of(word: DyckWord) -> tuple[DyckWord, ...]:
     return tuple(map(DyckWord._wrap, _lex_sorted(seen)))
 
 
-def covered_by(word: DyckWord) -> tuple[DyckWord, ...]:
-    """Words covered by `word`, lexicographic (U < D): the deletion kernel."""
-    if word.semilength < 1:
-        raise ArgumentOutOfRangeError("poset elements have semilength >= 1")
-    return deletion_children(word)
-
-
 def deletion_children(word: DyckWord) -> tuple[DyckWord, ...]:
     """Words covered by `word`, lexicographic (U < D): see _deletion_texts."""
+    if word.semilength < 1:
+        raise ArgumentOutOfRangeError("poset elements have semilength >= 1")
     return tuple(map(DyckWord._wrap, _deletion_texts(word.text)))
+
+
+#: The down-cover query is the deletion kernel itself, under its poset name.
+covered_by = deletion_children
 
 
 def _deletion_texts(text: str) -> list[str]:
@@ -357,15 +356,15 @@ def build_interval(
     and at the bottom rank the only word containing `bottom` is `bottom`
     itself.  The tests check this construction against the
     generate-everything-and-filter one on small intervals.
+
+    A top above `limit`, or above DEFAULT_GENERATION_CEILING when no limit is
+    given, raises LimitExceededError before any work is done.
     """
     if bottom.semilength < 1:
         raise ArgumentOutOfRangeError("interval bottom must have semilength >= 1")
-    ceiling = DEFAULT_GENERATION_CEILING if limit is None else limit
-    if top.semilength > ceiling:
-        raise LimitExceededError(
-            f"top semilength {top.semilength} exceeds the ceiling {ceiling}; "
-            "pass an explicit limit to override"
-        )
+    check_limit(
+        "interval top semilength", top.semilength, DEFAULT_GENERATION_CEILING, limit
+    )
     if not contains(bottom, top):
         raise NotComparableError(f"{bottom} is not a pattern of {top}")
 
@@ -408,7 +407,7 @@ def build_interval(
 
 
 def mobius(bottom: DyckWord, top: DyckWord, limit: int | None = None) -> int:
-    """mu(bottom, top) over the materialized interval."""
+    """mu(bottom, top) over the materialized interval; `limit` as in build_interval."""
     return build_interval(bottom, top, limit).mobius()
 
 

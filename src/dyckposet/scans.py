@@ -20,12 +20,13 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator
 
-from .errors import LimitExceededError
+from .errors import check_limit
 from .formulas import cover_count_formula
 from .poset import IntervalModel, _deletion_texts, _mobius_sweep, covers_of
 from .words import DyckWord, _lex_sorted, elevated_staircase, factors, generate_all
 
-#: Scan-specific ceilings, sized to finish in seconds on a laptop.
+#: Scan-specific ceilings, sized to finish in seconds on a laptop.  A scan's
+#: `limit=` argument, when given, replaces its ceiling.
 ALTERNATING_SCAN_CEILING = 6
 RANK2_SCAN_CEILING = 7
 RANK3_SCAN_CEILING = 6
@@ -62,15 +63,6 @@ class ScanReport:
             "witnesses": [dict(w) for w in self.witnesses],
             "elapsed_ms": self.elapsed_ms,
         }
-
-
-def _check_scan_limit(value: int, ceiling: int, limit: int | None, what: str) -> None:
-    active = ceiling if limit is None else limit
-    if value > active:
-        raise LimitExceededError(
-            f"{what} {value} exceeds the scan ceiling {active}; "
-            "pass an explicit limit to override"
-        )
 
 
 def mobius_to_top(model: IntervalModel) -> dict[DyckWord, int]:
@@ -131,8 +123,11 @@ def scan_alternating(max_top_semilength: int, limit: int | None = None) -> ScanR
 
     Expected: mu >= 0 on even rank differences and mu <= 0 on odd ones.
     """
-    _check_scan_limit(
-        max_top_semilength, ALTERNATING_SCAN_CEILING, limit, "top semilength"
+    check_limit(
+        "alternating scan top semilength",
+        max_top_semilength,
+        ALTERNATING_SCAN_CEILING,
+        limit,
     )
     start = time.perf_counter()
     pairs = 0
@@ -208,7 +203,7 @@ def scan_rank2_max(n: int, limit: int | None = None) -> ScanReport:
     attaining intervals are recorded as witnesses (the proof does not say the
     attaining interval is unique, and the scan makes no such claim).
     """
-    _check_scan_limit(n, RANK2_SCAN_CEILING, limit, "bottom semilength n =")
+    check_limit("rank2max scan bottom semilength", n, RANK2_SCAN_CEILING, limit)
     return _scan_rank_max("rank2max", 2, n, n * n, "expected_max", signed=True)
 
 
@@ -218,7 +213,7 @@ def scan_rank3_max(n: int, limit: int | None = None) -> ScanReport:
     Conjectured maximum (2n+1) * n^2, attained by the elevated-staircase
     pair; the verdict reflects the scanned range only.
     """
-    _check_scan_limit(n, RANK3_SCAN_CEILING, limit, "bottom semilength n =")
+    check_limit("rank3max scan bottom semilength", n, RANK3_SCAN_CEILING, limit)
     expected = (2 * n + 1) * n * n
     return _scan_rank_max("rank3max", 3, n, expected, "conjectured_max", signed=False)
 
@@ -229,7 +224,7 @@ def sweep_cover_count(max_semilength: int, limit: int | None = None) -> ScanRepo
     Also confirms, rank by rank, that the maximum n^2 + 1 is attained exactly
     by the one-factor words.
     """
-    _check_scan_limit(max_semilength, COVER_SCAN_CEILING, limit, "max semilength")
+    check_limit("covercount scan semilength", max_semilength, COVER_SCAN_CEILING, limit)
     start = time.perf_counter()
     words_checked = 0
     violations: list[dict] = []

@@ -101,8 +101,7 @@ def _staircase_model(n: int) -> IntervalModel:
 
 
 def _two_peak_model(a: int, b: int, h: int) -> IntervalModel:
-    word = two_peak(a, b, h)
-    return build_interval(staircase(1), word, limit=max(_TWO_PEAK_LIMIT, word.semilength))
+    return build_interval(staircase(1), two_peak(a, b, h), limit=_TWO_PEAK_LIMIT)
 
 
 def suite_table1() -> list[Check]:

@@ -11,19 +11,19 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import (
     ArgumentOutOfRangeError,
     InvalidCharacterError,
     InvalidShapeParametersError,
-    LimitExceededError,
     PrefixViolationError,
     UnbalancedError,
+    check_limit,
 )
 
-#: Largest semilength that generation-backed operations accept without an
-#: explicit override (Catalan(14) is about 2.7M words).
+#: Largest semilength that generate_all accepts (Catalan(14) is about 2.7M
+#: words), and the default ceiling of build_interval.
 DEFAULT_GENERATION_CEILING = 14
 
 _STEP_ALIASES = {
@@ -73,22 +73,21 @@ def _check_steps(text: str) -> None:
             )
 
 
-class DyckWord:
-    """Immutable canonical Dyck word; equality and hashing are by step text.
+class _StepWord:
+    """Immutable word kept as its canonical step text.
 
-    The empty word is representable (generators need it) but is not a poset
-    element: the pattern poset's minimum is UD, and the poset operations
-    reject semilength-zero input.
+    Two words are equal iff they have the same class and the same text.
+    Subclasses supply `_validate`, which raises on a malformed text.
     """
 
     __slots__ = ("_text",)
 
     def __init__(self, text: str) -> None:
-        _check_steps(text)
+        self._validate(text)
         self._text = text
 
     @classmethod
-    def _wrap(cls, text: str) -> "DyckWord":
+    def _wrap(cls, text: str):
         # Fast path for step strings that are valid by construction.
         word = object.__new__(cls)
         word._text = text
@@ -98,24 +97,54 @@ class DyckWord:
     def text(self) -> str:
         return self._text
 
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._text == other._text
+
+    def __hash__(self) -> int:
+        return hash(self._text)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._text!r})"
+
+    def __str__(self) -> str:
+        return self._text
+
+
+def _parse_steps(text: str, aliases: dict[str, str], error: type[Exception]) -> str:
+    """Canonical step text of user input, each symbol mapped through `aliases`.
+
+    Raises `error` on empty input or on a symbol the table does not know;
+    the parsers of both step alphabets share this loop.
+    """
+    if not text:
+        alphabet = "/".join(dict.fromkeys(aliases.values()))
+        raise error(f"empty input: expected a nonempty {alphabet} step string")
+    steps = []
+    for pos, raw in enumerate(text):
+        step = aliases.get(raw)
+        if step is None:
+            raise error(f"invalid step {raw!r} at position {pos}")
+        steps.append(step)
+    return "".join(steps)
+
+
+class DyckWord(_StepWord):
+    """Immutable canonical Dyck word; equality and hashing are by step text.
+
+    The empty word is representable (generators need it) but is not a poset
+    element: the pattern poset's minimum is UD, and the poset operations
+    reject semilength-zero input.
+    """
+
+    __slots__ = ()
+    _validate = staticmethod(_check_steps)
+
     @property
     def semilength(self) -> int:
         return len(self._text) // 2
 
     def to_json_dict(self) -> dict:
         return {"word": self._text, "semilength": self.semilength}
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, DyckWord) and self._text == other._text
-
-    def __hash__(self) -> int:
-        return hash(self._text)
-
-    def __repr__(self) -> str:
-        return f"DyckWord({self._text!r})"
-
-    def __str__(self) -> str:
-        return self._text
 
 
 EMPTY_WORD = DyckWord("")
@@ -129,15 +158,7 @@ def parse_word(text: str) -> DyckWord:
     string is rejected because parsed words are meant for the poset, whose
     minimum is UD.
     """
-    if not text:
-        raise InvalidCharacterError("empty input: expected a nonempty U/D step string")
-    steps = []
-    for pos, raw in enumerate(text):
-        step = _STEP_ALIASES.get(raw)
-        if step is None:
-            raise InvalidCharacterError(f"invalid step {raw!r} at position {pos}")
-        steps.append(step)
-    return DyckWord("".join(steps))
+    return DyckWord(_parse_steps(text, _STEP_ALIASES, InvalidCharacterError))
 
 
 def lex_key(word: DyckWord) -> tuple[int, str]:
@@ -269,16 +290,6 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-def check_generation_limit(semilength: int, limit: int | None) -> None:
-    """Raise LimitExceededError when `semilength` is above the active ceiling."""
-    ceiling = DEFAULT_GENERATION_CEILING if limit is None else limit
-    if semilength > ceiling:
-        raise LimitExceededError(
-            f"semilength {semilength} exceeds the generation ceiling {ceiling}; "
-            "pass an explicit limit to override"
-        )
-
-
 # Largest semilength whose generated words stay cached for the life of the
 # process.  Scans and the verify suites reuse the small ranks over and over;
 # Catalan(10) = 16 796, while caching semilength 14 would pin 2.7M words.
@@ -313,26 +324,20 @@ def _all_words(semilength: int) -> tuple[DyckWord, ...]:
     return tuple(DyckWord._wrap(t) for t in texts)
 
 
-def generate_all(semilength: int, limit: int | None = None) -> tuple[DyckWord, ...]:
+def generate_all(semilength: int) -> tuple[DyckWord, ...]:
     """All Dyck words of the given semilength, in lexicographic order (U < D).
 
-    The result has exactly Catalan(semilength) entries.  Requests above the
-    ceiling raise LimitExceededError unless `limit` is raised explicitly.
-    Semilengths up to 10 are cached; larger ones are generated afresh on
-    every call.
+    The result has exactly Catalan(semilength) entries.  Semilengths above
+    DEFAULT_GENERATION_CEILING raise LimitExceededError; that ceiling is
+    fixed.  Semilengths up to 10 are cached; larger ones are generated afresh
+    on every call.
     """
     if semilength < 0:
         raise ArgumentOutOfRangeError("semilength must be nonnegative")
-    check_generation_limit(semilength, limit)
+    check_limit("generation semilength", semilength, DEFAULT_GENERATION_CEILING)
     if semilength <= _CACHED_SEMILENGTH:
         return _cached_words(semilength)
     return _all_words(semilength)
-
-
-def iter_all_upto(max_semilength: int, limit: int | None = None) -> Iterator[DyckWord]:
-    """Words of semilength 1..max_semilength, rank by rank."""
-    for n in range(1, max_semilength + 1):
-        yield from generate_all(n, limit)
 
 
 def staircase(n: int) -> DyckWord:
@@ -361,23 +366,3 @@ def elevated_staircase(n: int) -> DyckWord:
     if n < 1:
         raise InvalidShapeParametersError("elevated_staircase needs n >= 1")
     return DyckWord._wrap("U" + "UD" * (n - 1) + "D")
-
-
-@dataclass(frozen=True)
-class TwoPeakShape:
-    """Normalized two-peak parameters (a, b, h) with 1 <= a <= b and h >= 0."""
-
-    a: int
-    b: int
-    h: int = 0
-
-    def __post_init__(self) -> None:
-        if not (1 <= self.a <= self.b) or self.h < 0:
-            raise InvalidShapeParametersError("need 1 <= a <= b and h >= 0")
-
-    @property
-    def semilength(self) -> int:
-        return self.a + self.b + self.h
-
-    def word(self) -> DyckWord:
-        return two_peak(self.a, self.b, self.h)

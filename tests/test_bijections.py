@@ -43,6 +43,10 @@ PEAKLESS_COUNTS = (1, 1, 1, 2, 4, 8, 17, 37, 82, 185, 423, 978, 2283)
 
 def test_motzkin_validation():
     assert parse_motzkin("ulld").text == "ULLD"
+    assert repr(parse_motzkin("ulld")) == "MotzkinWord('ULLD')"
+    # same text, different alphabet: never equal
+    assert MotzkinWord("UD") != DyckWord("UD")
+    assert DyckWord("UD") != MotzkinWord("UD")
     assert MotzkinWord("ULLD").is_peakless
     assert not MotzkinWord("UDLL").is_peakless
     with pytest.raises(InvalidMotzkinError):

@@ -11,6 +11,7 @@ from dyckposet import (
     covers_of,
     delta_class,
     delta_histogram_closed,
+    elevated_staircase,
     embeddable_in_staircase,
     generate_all,
     mobius,
@@ -24,7 +25,6 @@ from dyckposet import (
     phih,
     pyramid,
     runs,
-    elevated_staircase,
     s1_two_peak_h0,
     staircase,
     staircase_interval_size,

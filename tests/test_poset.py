@@ -177,8 +177,11 @@ def test_cover_count_formula_holds_up_to_semilength_8():
 
 def test_poset_operations_reject_the_empty_word():
     empty = generate_all(0)[0]
+    assert covered_by is deletion_children
     with pytest.raises(ArgumentOutOfRangeError):
         covers_of(empty)
+    with pytest.raises(ArgumentOutOfRangeError):
+        deletion_children(empty)
     with pytest.raises(ArgumentOutOfRangeError):
         build_interval(empty, UD)
 

@@ -13,7 +13,6 @@ from dyckposet import (
     LimitExceededError,
     PrefixViolationError,
     RunForm,
-    TwoPeakShape,
     UnbalancedError,
     catalan,
     contains,
@@ -58,6 +57,7 @@ def test_word_identity_and_json():
     assert w == DyckWord("UUDUDD")
     assert hash(w) == hash(DyckWord("UUDUDD"))
     assert str(w) == "UUDUDD"
+    assert repr(w) == "DyckWord('UUDUDD')"
     assert w.to_json_dict() == {"word": "UUDUDD", "semilength": 3}
 
 
@@ -183,9 +183,6 @@ def test_generate_all_limits():
         generate_all(15)
     with pytest.raises(ArgumentOutOfRangeError):
         generate_all(-1)
-    with pytest.raises(LimitExceededError):
-        generate_all(3, limit=2)
-    assert len(generate_all(3, limit=3)) == 5
 
 
 def test_shapes():
@@ -202,11 +199,3 @@ def test_shapes():
         two_peak(1, 0, 2)
     with pytest.raises(InvalidShapeParametersError):
         two_peak(1, 1, -1)
-
-
-def test_two_peak_shape_normalization():
-    shape = TwoPeakShape(2, 3, 1)
-    assert shape.semilength == 6
-    assert shape.word() == two_peak(2, 3, 1)
-    with pytest.raises(InvalidShapeParametersError):
-        TwoPeakShape(3, 2, 0)
