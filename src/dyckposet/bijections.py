@@ -78,31 +78,23 @@ def parse_motzkin(text: str) -> MotzkinWord:
 def motzkin_to_dyck(word: MotzkinWord) -> DyckWord:
     """Expand every level step into a peak: L -> UD, U and D copied.
 
-    Total on all Motzkin words; the image has semilength (#U + #L).
+    Total on all Motzkin words; the image has semilength (#U + #L) and is
+    validated as a Dyck word.
     """
-    return DyckWord("".join("UD" if s == "L" else s for s in word.text))
+    return DyckWord(word.text.replace("L", "UD"))
 
 
 def dyck_to_motzkin(word: DyckWord) -> MotzkinWord:
     """Contract every peak (adjacent UD pair) to a level step.
 
-    Peak occurrences are disjoint, and a contraction never brings a U next to
-    a D (the survivor to the left of a new L is always a U, to the right
-    always a D), so the image is peak-less.  Image length equals
-    2*semilength - peaks, and the image roundtrips through motzkin_to_dyck.
+    Peak occurrences are disjoint, so one left-to-right `str.replace` of UD
+    by L contracts them all.  A contraction never brings a U next to a D
+    (the survivor to the left of a new L is always a U, to the right always
+    a D), so the image is peak-less; that is checked, not assumed.  Image
+    length equals 2*semilength - peaks, and the image roundtrips through
+    motzkin_to_dyck.
     """
-    text = word.text
-    out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        if text[i] == "U" and i + 1 < n and text[i + 1] == "D":
-            out.append("L")
-            i += 2
-        else:
-            out.append(text[i])
-            i += 1
-    result = MotzkinWord._wrap("".join(out))
+    result = MotzkinWord._wrap(word.text.replace("UD", "L"))
     if not result.is_peakless:
         raise InvalidMotzkinError(f"image {result.text} of {word} is not peakless")
     return result

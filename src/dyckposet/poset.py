@@ -35,7 +35,14 @@ from .words import (
 
 
 def covers_of(word: DyckWord) -> tuple[DyckWord, ...]:
-    """Words covering `word`, lexicographic (U < D), by one pass of insertion.
+    """Words covering `word`, lexicographic (U < D): see _insertion_texts."""
+    if word.semilength < 1:
+        raise ArgumentOutOfRangeError("poset elements have semilength >= 1")
+    return tuple(map(DyckWord._wrap, _insertion_texts(word.text)))
+
+
+def _insertion_texts(text: str) -> list[str]:
+    """Step texts covering `text`, lexicographic (U < D), by one pass of insertion.
 
     A cover adds one U and one D.  Inserting the U at text position i and the
     D at position j gives a Dyck word whenever j >= i (the heights in between
@@ -44,11 +51,8 @@ def covers_of(word: DyckWord) -> tuple[DyckWord, ...]:
     the same letter gives the same word, so the U goes only where it does not
     follow a U, and the D only where it does not follow a D; what remains is
     O(n^2) candidates, each one slice of the text.  The cost is bounded by the
-    semilength, not by a Catalan number.
+    semilength, not by a Catalan number.  It is the twin of _deletion_texts.
     """
-    if word.semilength < 1:
-        raise ArgumentOutOfRangeError("poset elements have semilength >= 1")
-    text = word.text
     heights = [0]
     for step in text:
         heights.append(heights[-1] + (1 if step == "U" else -1))
@@ -68,7 +72,7 @@ def covers_of(word: DyckWord) -> tuple[DyckWord, ...]:
                 break
             if text[j - 1] == "U":
                 seen.add(text[:j] + "D" + text[j:i] + "U" + tail)
-    return tuple(map(DyckWord._wrap, _lex_sorted(seen)))
+    return _lex_sorted(seen)
 
 
 def deletion_children(word: DyckWord) -> tuple[DyckWord, ...]:

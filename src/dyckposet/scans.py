@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator
 
-from .errors import check_limit
+from .errors import ArgumentOutOfRangeError, check_limit
 from .formulas import cover_count_formula
-from .poset import IntervalModel, _deletion_texts, _mobius_sweep, covers_of
+from .poset import IntervalModel, _deletion_texts, _insertion_texts, _mobius_sweep
 from .words import DyckWord, _lex_sorted, elevated_staircase, factors, generate_all
 
 #: Scan-specific ceilings, sized to finish in seconds on a laptop.  A scan's
@@ -164,6 +164,10 @@ def _scan_rank_max(
     order, then bottoms lexicographic.  The verdict is consistent iff the
     maximum is `expected` and the elevated-staircase pair attains it.
     """
+    if n < 1:
+        raise ArgumentOutOfRangeError(
+            f"{scan} scan bottom semilength must be >= 1, got {n}"
+        )
     start = time.perf_counter()
     canonical = (elevated_staircase(n).text, elevated_staircase(n + k).text)
     best: int | None = None
@@ -221,8 +225,9 @@ def scan_rank3_max(n: int, limit: int | None = None) -> ScanReport:
 def sweep_cover_count(max_semilength: int, limit: int | None = None) -> ScanReport:
     """Check |covers_of(Q)| against the factor formula for every word.
 
-    Also confirms, rank by rank, that the maximum n^2 + 1 is attained exactly
-    by the one-factor words.
+    The covers are counted on the step text by the insertion kernel, with
+    no DyckWord made per cover.  Also confirms, rank by rank, that the
+    maximum n^2 + 1 is attained exactly by the one-factor words.
     """
     check_limit("covercount scan semilength", max_semilength, COVER_SCAN_CEILING, limit)
     start = time.perf_counter()
@@ -232,7 +237,7 @@ def sweep_cover_count(max_semilength: int, limit: int | None = None) -> ScanRepo
         max_count = s * s + 1
         attaining: list[DyckWord] = []
         for q in generate_all(s):
-            brute = len(covers_of(q))
+            brute = len(_insertion_texts(q.text))
             expected = cover_count_formula(q)
             words_checked += 1
             if brute != expected:

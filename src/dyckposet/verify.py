@@ -8,6 +8,7 @@ routes at verification time.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, NamedTuple
 
 from .errors import ArgumentOutOfRangeError
@@ -40,16 +41,16 @@ from .formulas import (
     two_peak_rank_count,
     two_peak_rank_count_h0,
 )
-from .poset import IntervalModel, build_interval, covers_of, deletion_children
+from .poset import build_interval, covers_of, deletion_children
 from .scans import sweep_cover_count
 from .words import (
+    DyckWord,
     contains,
     elevated_staircase,
     generate_all,
     parse_word,
     pyramid,
     staircase,
-    statistics,
     two_peak,
 )
 
@@ -79,7 +80,9 @@ GRID_ANCHOR_SQUARE = (2, 3, 3)
 _TWO_PEAK_SWEEP = [
     (a, b, h) for a in range(1, 7) for b in range(a, 7) for h in range(4)
 ]
-_TWO_PEAK_LIMIT = max(a + b + h for a, b, h in _TWO_PEAK_SWEEP)
+_UD = staircase(1)
+# The largest top any suite builds: two_peak(6, 6, 3), above the default ceiling.
+_FACTS_LIMIT = max(a + b + h for a, b, h in _TWO_PEAK_SWEEP)
 
 
 class Check(NamedTuple):
@@ -96,20 +99,43 @@ def _check(name: str, mismatches: list) -> Check:
     return Check(name, False, shown + more)
 
 
-def _staircase_model(n: int) -> IntervalModel:
-    return build_interval(staircase(1), staircase(n))
+class _Facts(NamedTuple):
+    """What the suites read from the engine's interval [bottom, top]."""
+
+    size: int
+    ranks: tuple[int, ...]  # element counts, rank semilength(bottom) first
+    two_peaked: int  # elements with exactly two peaks
+    s1: int
+    delta_histogram: tuple[tuple[int, int], ...]  # (t, count) pairs, t ascending
+    mu: int  # mu(bottom, top)
 
 
-def _two_peak_model(a: int, b: int, h: int) -> IntervalModel:
-    return build_interval(staircase(1), two_peak(a, b, h), limit=_TWO_PEAK_LIMIT)
+@functools.lru_cache(maxsize=None)
+def _facts(bottom: DyckWord, top: DyckWord) -> _Facts:
+    """The facts of [bottom, top], computed once per process.
+
+    Several suites read the same intervals (staircase(2) is also
+    two_peak(1, 1, 0), and every two-peak interval is read by up to four
+    suites), so each one is built once.  Only these small tuples are kept,
+    never the models, and they hold engine values only: every formula is
+    still applied by the suite that checks it.
+    """
+    model = build_interval(bottom, top, limit=_FACTS_LIMIT)
+    return _Facts(
+        size=model.s0(),
+        ranks=tuple(len(model.text_ranks[r]) for r in model.rank_span),
+        two_peaked=sum(1 for w in model.text_covers_down if w.count("UD") == 2),
+        s1=model.s1(),
+        delta_histogram=tuple(model.delta_histogram().items()),
+        mu=model.mobius(),
+    )
 
 
 def suite_table1() -> list[Check]:
     """Staircase rank counts: engine vs embedded triangle vs closed form."""
     engine_bad, closed_bad = [], []
     for n, row in TABLE1.items():
-        model = _staircase_model(n)
-        brute = tuple(model.s0_by_rank(k) for k in range(1, n + 1))
+        brute = _facts(_UD, staircase(n)).ranks
         if brute != row:
             engine_bad.append((n, brute, row))
         closed = tuple(staircase_rank_count(n, k) for k in range(1, n + 1))
@@ -128,7 +154,7 @@ def suite_sizes() -> list[Check]:
         value = staircase_interval_size(n)
         if value != expected:
             closed_bad.append((n, value, expected))
-        brute = _staircase_model(n).s0()
+        brute = _facts(_UD, staircase(n)).size
         if brute != expected:
             engine_bad.append((n, brute, expected))
     for n in range(1, 13):
@@ -203,15 +229,13 @@ def suite_twopeak() -> list[Check]:
     """Two-peak interval sizes and rank counts against the engine."""
     size_bad, count2_bad, rank_bad, h0_bad = [], [], [], []
     for a, b, h in _TWO_PEAK_SWEEP:
-        model = _two_peak_model(a, b, h)
-        if two_peak_interval_size(a, b, h) != model.s0():
+        facts = _facts(_UD, two_peak(a, b, h))
+        if two_peak_interval_size(a, b, h) != facts.size:
             size_bad.append((a, b, h))
-        two_peaked = sum(1 for w in model.elements() if statistics(w).peaks == 2)
-        if phih(a, b, h) != two_peaked:
+        if phih(a, b, h) != facts.two_peaked:
             count2_bad.append((a, b, h))
-        top_rank = a + b + h
-        for r in range(1, top_rank + 1):
-            if two_peak_rank_count(a, b, h, r) != model.s0_by_rank(r):
+        for r, count in enumerate(facts.ranks, start=1):
+            if two_peak_rank_count(a, b, h, r) != count:
                 rank_bad.append((a, b, h, r))
         if h == 0:
             for r in range(2, a + b + 1):
@@ -221,9 +245,9 @@ def suite_twopeak() -> list[Check]:
     anchor_bad = []
     if phi0(4, 6) != 50:
         anchor_bad.append("phi0(4,6)")
-    fig_model = _two_peak_model(2, 3, 1)
-    profile = tuple(fig_model.s0_by_rank(r) for r in range(1, 7))
-    if profile != (1, 2, 4, 6, 4, 1) or fig_model.s0() != 18:
+    fig = _facts(_UD, two_peak(2, 3, 1))
+    profile = fig.ranks
+    if profile != (1, 2, 4, 6, 4, 1) or fig.size != 18:
         anchor_bad.append(f"(2,3,1) profile {profile}")
 
     return [
@@ -248,13 +272,13 @@ def suite_delta() -> list[Check]:
     hist_bad, identity_bad = [], []
     for a in range(1, 7):
         for b in range(a, 7):
-            model = _two_peak_model(a, b, 0)
-            brute_hist = model.delta_histogram()
+            facts = _facts(_UD, two_peak(a, b, 0))
+            brute_hist = dict(facts.delta_histogram)
             closed = delta_histogram_closed(a, b)
             observed = {t: brute_hist.get(t, 0) for t in (1, 2, 3, 4)}
             if observed != closed or brute_hist.get(0, 0) != 1:
                 hist_bad.append((a, b, observed, closed))
-            if model.s1() != sum(t * c for t, c in brute_hist.items()):
+            if facts.s1 != sum(t * c for t, c in brute_hist.items()):
                 identity_bad.append((a, b))
     return [
         _check("cover-class formula vs brute force (i, j <= 5, k <= 3)", class_bad),
@@ -268,10 +292,10 @@ def suite_s1() -> list[Check]:
     cubic_bad, hist_sum_bad = [], []
     for a in range(1, 7):
         for b in range(a, 7):
-            model = _two_peak_model(a, b, 0)
+            engine = _facts(_UD, two_peak(a, b, 0)).s1
             value = s1_two_peak_h0(a, b)
-            if value != model.s1():
-                cubic_bad.append((a, b, value, model.s1()))
+            if value != engine:
+                cubic_bad.append((a, b, value, engine))
             closed = delta_histogram_closed(a, b)
             if value != sum(t * c for t, c in closed.items()):
                 hist_sum_bad.append((a, b))
@@ -283,33 +307,30 @@ def suite_s1() -> list[Check]:
 
 def suite_mobius_closed() -> list[Check]:
     """Closed Möbius values against the recursive engine."""
-    from .poset import mobius as engine_mobius
-
-    bottom = staircase(1)
     pyramid_bad = []
     for n in range(1, 10):
-        if mobius_pyramid(n) != engine_mobius(bottom, pyramid(n)):
+        if mobius_pyramid(n) != _facts(_UD, pyramid(n)).mu:
             pyramid_bad.append(n)
 
     two_peak_bad = []
     for a, b, h in _TWO_PEAK_SWEEP:
-        if mobius_two_peak(a, b, h) != _two_peak_model(a, b, h).mobius():
+        if mobius_two_peak(a, b, h) != _facts(_UD, two_peak(a, b, h)).mu:
             two_peak_bad.append((a, b, h))
 
     anchor_bad = []
     for text in ("UUUDUDDD", "UDUUUDDD"):
-        if engine_mobius(bottom, parse_word(text)) != 0:
+        if _facts(_UD, parse_word(text)).mu != 0:
             anchor_bad.append(text)
 
     staircase_bad = []
     for n in range(2, 7):
-        value = engine_mobius(staircase(n - 1), staircase(n + 1))
+        value = _facts(staircase(n - 1), staircase(n + 1)).mu
         if mobius_staircase_rank2(n) != value:
             staircase_bad.append((n, value))
 
     elevated_bad = []
     for n in range(1, 6):
-        value = engine_mobius(elevated_staircase(n), elevated_staircase(n + 2))
+        value = _facts(elevated_staircase(n), elevated_staircase(n + 2)).mu
         if mobius_elevated_staircase_rank2(n) != value:
             elevated_bad.append((n, value))
 
@@ -341,7 +362,7 @@ def suite_covercount() -> list[Check]:
     for n in range(11):
         histogram: dict[int, int] = {}
         for word in generate_all(n):
-            peaks = statistics(word).peaks
+            peaks = word.text.count("UD")
             histogram[peaks] = histogram.get(peaks, 0) + 1
         for k in range(n + 2):
             if narayana(n, k) != histogram.get(k, 0):

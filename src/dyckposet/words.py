@@ -147,9 +147,6 @@ class DyckWord(_StepWord):
         return {"word": self._text, "semilength": self.semilength}
 
 
-EMPTY_WORD = DyckWord("")
-
-
 def parse_word(text: str) -> DyckWord:
     """Parse user input into a DyckWord.
 
@@ -290,54 +287,63 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-# Largest semilength whose generated words stay cached for the life of the
-# process.  Scans and the verify suites reuse the small ranks over and over;
-# Catalan(10) = 16 796, while caching semilength 14 would pin 2.7M words.
+# Largest semilength whose generated words and their texts stay cached for
+# the life of the process.  Scans and the verify suites reuse the small ranks
+# over and over; Catalan(10) = 16 796, while caching semilength 14 would pin
+# 2.7M words.
 _CACHED_SEMILENGTH = 10
 
 
 @functools.lru_cache(maxsize=None)
-def _cached_words(semilength: int) -> tuple[DyckWord, ...]:
-    return _all_words(semilength)
-
-
-def _all_words(semilength: int) -> tuple[DyckWord, ...]:
+def _cached_texts(semilength: int) -> tuple[str, ...]:
     if semilength == 0:
-        return (EMPTY_WORD,)
+        return ("",)
+    lower = [_cached_texts(k) for k in range(semilength)]
+    return tuple(_level_texts(semilength, lower))
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_words(semilength: int) -> tuple[DyckWord, ...]:
+    return tuple(map(DyckWord._wrap, _cached_texts(semilength)))
+
+
+def _level_texts(semilength: int, lower: list[tuple[str, ...]]) -> list[str]:
+    """All Dyck texts of one semilength, lexicographic (U < D), from the lower ones.
+
+    `lower[k]` holds the texts of semilength k, for every k < semilength.
+    Each word is U a D b for exactly one pair (a, b): the U returns to the
+    axis first at the D, so a and b are Dyck words whose semilengths add up
+    to semilength - 1.  Concatenation and the one sort run in C.
+    """
     texts: list[str] = []
-    steps: list[str] = []
-
-    def extend(ups: int, downs: int) -> None:
-        if ups == semilength and downs == semilength:
-            texts.append("".join(steps))
-            return
-        if ups < semilength:
-            steps.append("U")
-            extend(ups + 1, downs)
-            steps.pop()
-        if downs < ups:
-            steps.append("D")
-            extend(ups, downs + 1)
-            steps.pop()
-
-    extend(0, 0)
-    return tuple(DyckWord._wrap(t) for t in texts)
+    for k in range(semilength):
+        tails = lower[semilength - 1 - k]
+        for a in lower[k]:
+            texts += map(("U" + a + "D").__add__, tails)
+    return _lex_sorted(texts)
 
 
 def generate_all(semilength: int) -> tuple[DyckWord, ...]:
     """All Dyck words of the given semilength, in lexicographic order (U < D).
 
-    The result has exactly Catalan(semilength) entries.  Semilengths above
+    The result has exactly Catalan(semilength) entries.  Each semilength is
+    built from the step texts of all lower ones by the first-return
+    decomposition U a D b, then sorted once.  Semilengths above
     DEFAULT_GENERATION_CEILING raise LimitExceededError; that ceiling is
-    fixed.  Semilengths up to 10 are cached; larger ones are generated afresh
-    on every call.
+    fixed.  Semilengths up to 10 are cached; for a larger one, the levels
+    above 10 are built afresh, once each, on every call and not kept.
     """
     if semilength < 0:
         raise ArgumentOutOfRangeError("semilength must be nonnegative")
     check_limit("generation semilength", semilength, DEFAULT_GENERATION_CEILING)
     if semilength <= _CACHED_SEMILENGTH:
         return _cached_words(semilength)
-    return _all_words(semilength)
+    levels = [_cached_texts(k) for k in range(_CACHED_SEMILENGTH + 1)]
+    for n in range(_CACHED_SEMILENGTH + 1, semilength):
+        levels.append(tuple(_level_texts(n, levels)))
+    texts = _level_texts(semilength, levels)
+    del levels  # the uncached lower levels are not needed while wrapping
+    return tuple(map(DyckWord._wrap, texts))
 
 
 def staircase(n: int) -> DyckWord:

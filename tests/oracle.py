@@ -8,16 +8,25 @@ lists all of that word's subsequences two steps shorter with
 Each relation is computed once and kept.  Its cost grows with a Catalan
 number, so it is used on small semilengths only.
 
+Containment-only Möbius columns: the oracle for the Möbius recursion.  The
+elements come from generate-and-filter, and each value is minus the sum over
+the elements that a containment test places strictly between.
+
 Full-interval Möbius scans: the oracle for the windowed scans.  They build
 each whole interval [UD, top] with `build_interval`, whose rank walk tests
 containment, and read the Möbius column of the materialized model.
+
+Product filter: the oracle for `generate_all`.  It lists every U/D string of
+the length in `itertools.product` order, which is lexicographic (U < D), and
+keeps the Dyck ones.
 """
 
 import functools
-from itertools import combinations
+from itertools import combinations, product
 
 from dyckposet import (
     build_interval,
+    contains,
     elevated_staircase,
     generate_all,
     staircase,
@@ -67,6 +76,36 @@ def covered_by(word):
     if word.semilength <= 1:
         return ()
     return tuple(_containment(word.semilength - 1)[1][word.text])
+
+
+def mobius_columns(bottom, top):
+    """mu(bottom, x) and mu(x, top) over [bottom, top] from `contains` alone.
+
+    Shares no code with the engine's rank walk or Möbius recursion: both
+    columns are keyed by DyckWord, in generation order.
+    """
+    elements = [
+        w
+        for r in range(bottom.semilength, top.semilength + 1)
+        for w in generate_all(r)
+        if contains(bottom, w) and contains(w, top)
+    ]
+    from_bottom = {}
+    for x in elements:
+        from_bottom[x] = 1 if x == bottom else -sum(
+            value for z, value in from_bottom.items() if contains(z, x)
+        )
+    to_top = {}
+    for x in reversed(elements):
+        to_top[x] = 1 if x == top else -sum(
+            value for z, value in to_top.items() if contains(x, z)
+        )
+    return from_bottom, to_top
+
+
+def dyck_texts(n):
+    """The Dyck step strings of semilength n, lexicographic (U < D)."""
+    return ["".join(steps) for steps in product("UD", repeat=2 * n) if _is_dyck(steps)]
 
 
 def _scan_payload(scan, scope, consistent, summary, witnesses):

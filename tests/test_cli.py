@@ -8,9 +8,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import dyckposet
 from dyckposet import build_interval, parse_word
 from dyckposet.cli import main
+
+# `verify all` stdout, byte for byte: every check of every suite passing.
+VERIFY_ALL_GOLDEN = (Path(__file__).parent / "golden" / "verify_all.stdout").read_bytes()
 
 
 def run(*argv):
@@ -153,6 +158,14 @@ def test_conjecture_command():
     assert run("conjecture", "nonsense")[0] == 1
 
 
+@pytest.mark.parametrize("scan", ["rank2max", "rank3max"])
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_conjecture_rank_scans_refuse_a_bottom_below_semilength_1(scan, n):
+    code, out, err = run("conjecture", scan, "--max", n)
+    assert (code, out) == (1, "")
+    assert err == f"error: {scan} scan bottom semilength must be >= 1, got {n}\n"
+
+
 def test_conjecture_covercount_stops_at_its_ceiling():
     assert run("conjecture", "covercount", "--max", "8")[0] == 2
     code, out, _ = run("conjecture", "covercount", "--max", "7")
@@ -198,6 +211,12 @@ def test_stdout_is_deterministic():
         assert run(*argv)[1] == run(*argv)[1]
 
 
+def test_verify_all_stdout_matches_the_golden_file():
+    code, out, _ = run("verify", "all")
+    assert code == 0
+    assert out.encode("utf-8") == VERIFY_ALL_GOLDEN
+
+
 def test_help_exits_zero():
     code, out, _ = run("--help")
     assert code == 0
@@ -212,9 +231,9 @@ def test_verify_all_runs_under_optimize_flag():
     result = subprocess.run(
         [sys.executable, "-O", "-m", "dyckposet", "verify", "all"],
         capture_output=True,
-        text=True,
         env=env,
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip().endswith("29/29 checks passed")
+    assert result.stdout.strip().endswith(b"29/29 checks passed")
+    assert result.stdout == VERIFY_ALL_GOLDEN

@@ -1,0 +1,124 @@
+"""Every fast kernel against an oracle that shares no code with it.
+
+ORACLES maps each kernel to the check that pits it against its slow route in
+`oracle.py`.  Every private function of `poset.py` and `scans.py` needs an
+entry: `test_every_private_kernel_has_an_oracle` fails on one without, so a
+new kernel cannot land unchecked.
+"""
+
+import inspect
+
+import oracle
+import pytest
+
+from dyckposet import build_interval, generate_all, parse_word, poset, scans, words
+from dyckposet.scans import mobius_to_top
+
+UD = parse_word("UD")
+
+# Tops of every shape up to semilength 6, and intervals with a larger bottom.
+MOBIUS_INTERVALS = [(UD, top) for n in range(1, 7) for top in generate_all(n)] + [
+    (parse_word(b), parse_word(t))
+    for b, t in [("UUDD", "UUDUDUDD"), ("UDUD", "UDUDUDUDUD"), ("UUDD", "UUUDDUUDDD")]
+]
+
+
+def check_deletion_texts():
+    for n in range(1, 8):
+        for w in generate_all(n):
+            expected = [c.text for c in oracle.covered_by(w)]
+            assert poset._deletion_texts(w.text) == expected, w
+
+
+def check_insertion_texts():
+    for n in range(1, 8):
+        for w in generate_all(n):
+            expected = [c.text for c in oracle.covers_of(w)]
+            assert poset._insertion_texts(w.text) == expected, w
+
+
+def check_mobius_sweep():
+    # The sweep is fed the oracle's own elements and covers, so only the
+    # recursion itself is under test, from either anchor.
+    for bottom, top in MOBIUS_INTERVALS:
+        from_bottom, to_top = oracle.mobius_columns(bottom, top)
+        members = {w.text for w in from_bottom}
+        levels = [[] for _ in range(bottom.semilength, top.semilength + 1)]
+        down, up = {}, {}
+        for w in from_bottom:
+            levels[w.semilength - bottom.semilength].append(w.text)
+            down[w.text] = [c.text for c in oracle.covered_by(w) if c.text in members]
+            up[w.text] = [c.text for c in oracle.covers_of(w) if c.text in members]
+        swept_up = poset._mobius_sweep(levels, down, bottom.text)
+        swept_down = poset._mobius_sweep(levels[::-1], up, top.text)
+        assert swept_up == {w.text: v for w, v in from_bottom.items()}, (bottom, top)
+        assert swept_down == {w.text: v for w, v in to_top.items()}, (bottom, top)
+
+
+def check_top_windows():
+    # Each window is the top part of the whole interval [UD, top], built by
+    # the containment-testing rank walk, with its top-anchored column.
+    for lowest in range(1, 7):
+        tops = [top for n in range(lowest, 7) for top in generate_all(n)]
+        windows = scans._top_windows(tops, lowest)
+        for top, (text, levels, column) in zip(tops, windows):
+            model = build_interval(UD, top)
+            full = {w.text: v for w, v in mobius_to_top(model).items()}
+            ranks = range(top.semilength, lowest - 1, -1)
+            assert text == top.text
+            assert [sorted(level) for level in levels] == [
+                sorted(model.text_ranks[r]) for r in ranks
+            ]
+            assert column == {w: full[w] for r in ranks for w in model.text_ranks[r]}
+
+
+def without_elapsed(report):
+    payload = report.to_json_dict()
+    del payload["elapsed_ms"]
+    return payload
+
+
+def check_scans():
+    # The whole scan drivers, witnesses included, against scans that walk
+    # each full interval.
+    for n in range(1, 4):
+        assert without_elapsed(scans.scan_rank2_max(n)) == oracle.scan_rank_max(2, n)
+        assert without_elapsed(scans.scan_rank3_max(n)) == oracle.scan_rank_max(3, n)
+    assert without_elapsed(scans.scan_alternating(5)) == oracle.scan_alternating(5)
+
+
+def check_generate_all():
+    for n in range(9):
+        assert [w.text for w in generate_all(n)] == oracle.dyck_texts(n), n
+
+
+# fast kernel -> the check that compares it with its oracle
+ORACLES = {
+    poset._deletion_texts: check_deletion_texts,
+    poset._insertion_texts: check_insertion_texts,
+    poset._mobius_sweep: check_mobius_sweep,
+    scans._top_windows: check_top_windows,
+    scans._scan_rank_max: check_scans,
+    scans._witness: check_scans,
+    words.generate_all: check_generate_all,
+}
+
+
+@pytest.mark.parametrize(
+    "check", list(dict.fromkeys(ORACLES.values())), ids=lambda check: check.__name__
+)
+def test_kernel_matches_its_oracle(check):
+    check()
+
+
+def test_every_private_kernel_has_an_oracle():
+    missing = [
+        f"{module.__name__}.{name}"
+        for module in (poset, scans)
+        for name, value in vars(module).items()
+        if name.startswith("_")
+        and inspect.isfunction(value)
+        and value.__module__ == module.__name__
+        and value not in ORACLES
+    ]
+    assert not missing, f"kernels without an oracle entry: {missing}"

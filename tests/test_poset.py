@@ -234,34 +234,8 @@ def test_mobius_recursion_column_sums_vanish():
             assert total == 0, (bottom, top, x)
 
 
-def oracle_mobius(bottom, top):
-    """mu(bottom, x) and mu(x, top) over [bottom, top] from `contains` alone.
-
-    Shares no code with the engine's rank walk or Möbius recursion: the
-    elements come from generate-and-filter, and each value is minus the sum
-    over the elements that a containment test places strictly between.
-    """
-    elements = [
-        w
-        for r in range(bottom.semilength, top.semilength + 1)
-        for w in generate_all(r)
-        if contains(bottom, w) and contains(w, top)
-    ]
-    from_bottom = {}
-    for x in elements:
-        from_bottom[x] = 1 if x == bottom else -sum(
-            value for z, value in from_bottom.items() if contains(z, x)
-        )
-    to_top = {}
-    for x in reversed(elements):
-        to_top[x] = 1 if x == top else -sum(
-            value for z, value in to_top.items() if contains(x, z)
-        )
-    return from_bottom, to_top
-
-
 def assert_both_anchors_match_oracle(bottom, top):
-    from_bottom, to_top = oracle_mobius(bottom, top)
+    from_bottom, to_top = oracle.mobius_columns(bottom, top)
     model = build_interval(bottom, top)
     assert model.mobius_table() == from_bottom, (bottom, top)
     assert mobius_to_top(model) == to_top, (bottom, top)
@@ -417,7 +391,7 @@ def test_views_equal_generate_and_filter_and_share_one_word_per_element(
     assert model.covers_down == below
     assert model.covers_up == above
     assert model.members == frozenset(elements)
-    assert model.mobius_table() == oracle_mobius(bottom, top)[0]
+    assert model.mobius_table() == oracle.mobius_columns(bottom, top)[0]
     # One DyckWord object per element across the four views.
     one = {w.text: w for w in model.elements()}
     assert len(one) == model.s0()

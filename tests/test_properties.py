@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from dyckposet import (
     build_interval,
+    contains,
     cover_count_formula,
     covers_of,
     deletion_children,
     parse_word,
+    staircase,
 )
 from dyckposet.scans import _top_windows
 from dyckposet.words import lex_key
@@ -111,3 +113,37 @@ def test_windowed_column_matches_bottom_anchored_mobius(top, k, data):
         sample = st.lists(st.sampled_from(sorted(level)), min_size=1, max_size=4)
         for p in data.draw(sample):
             assert column[p] == build_interval(parse_word(p), top).mobius()
+
+
+def reversal(word):
+    """The mirror image: the steps in reverse order with U and D swapped."""
+    return parse_word(word.text[::-1].translate(str.maketrans("UD", "DU")))
+
+
+@settings(max_examples=10, deadline=None)
+@given(dyck_words(max_semilength=12))
+def test_reversal_preserves_interval_size_rank_counts_and_mobius(top):
+    # Reversal is an automorphism of the pattern order that fixes UD.
+    model = build_interval(staircase(1), top)
+    mirror = build_interval(staircase(1), reversal(top))
+    assert mirror.s0() == model.s0()
+    assert [len(mirror.text_ranks[r]) for r in mirror.rank_span] == [
+        len(model.text_ranks[r]) for r in model.rank_span
+    ]
+    assert mirror.mobius() == model.mobius()
+
+
+def is_subsequence(p, q):
+    """Longest common subsequence by dynamic programming, compared with len(p)."""
+    row = [0] * (len(q) + 1)
+    for a in p:
+        diagonal = 0
+        for j, b in enumerate(q, start=1):
+            diagonal, row[j] = row[j], diagonal + 1 if a == b else max(row[j], row[j - 1])
+    return row[-1] == len(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dyck_words(min_semilength=1, max_semilength=16), dyck_words(min_semilength=1))
+def test_contains_matches_a_brute_subsequence_search(pattern, word):
+    assert contains(pattern, word) == is_subsequence(pattern.text, word.text)

@@ -4,6 +4,7 @@ import oracle
 import pytest
 
 from dyckposet import (
+    ArgumentOutOfRangeError,
     LimitExceededError,
     build_interval,
     elevated_staircase,
@@ -45,6 +46,16 @@ def test_scan_rank2_max_values_and_witnesses():
     report3 = scan_rank2_max(3)
     assert report3.consistent
     assert report3.summary["observed_max"] == 9
+
+
+@pytest.mark.parametrize(
+    "scan, name", [(scan_rank2_max, "rank2max"), (scan_rank3_max, "rank3max")]
+)
+@pytest.mark.parametrize("n", [0, -1])
+def test_rank_scans_refuse_a_bottom_below_semilength_1(scan, name, n):
+    with pytest.raises(ArgumentOutOfRangeError) as refused:
+        scan(n)
+    assert str(refused.value) == f"{name} scan bottom semilength must be >= 1, got {n}"
 
 
 def test_scan_rank2_records_staircase_pair_value():

@@ -1,4 +1,7 @@
-"""The verify suites can fail: each one catches a wrong closed formula."""
+"""The verify suites catch a wrong closed formula and share their engine work."""
+
+import gc
+import weakref
 
 import pytest
 
@@ -24,3 +27,26 @@ def test_suite_reports_a_wrong_formula(suite, monkeypatch):
     monkeypatch.setattr(verify, name, lambda *args: right(*args) + 1)
     failing = [c.name for c in verify.run_suite(suite) if not c.ok]
     assert failing, f"suite {suite} passed with {name} off by one"
+
+
+def test_verify_all_builds_each_interval_once_and_keeps_no_model(monkeypatch):
+    # The suites share their per-interval facts; the models themselves are
+    # dropped as soon as the facts are read.
+    built, alive = [], []
+
+    def counting_build(bottom, top, limit=None):
+        model = right_build(bottom, top, limit)
+        built.append((bottom.text, top.text))
+        alive.append(weakref.ref(model))
+        return model
+
+    right_build = verify.build_interval
+    monkeypatch.setattr(verify, "build_interval", counting_build)
+    verify._facts.cache_clear()
+    try:
+        assert all(check.ok for check in verify.run_suite("all"))
+    finally:
+        verify._facts.cache_clear()
+    assert built and len(built) == len(set(built))
+    gc.collect()
+    assert not [ref for ref in alive if ref() is not None]
