@@ -22,7 +22,7 @@ from .errors import (
     UnbalancedError,
     check_limit,
 )
-from .words import DyckWord, _parse_steps, _StepWord, runs, two_peak
+from .words import DyckWord, _lex_sorted, _parse_steps, _StepWord, runs, two_peak
 
 #: Largest Motzkin word length the brute-force enumerator accepts.
 DEFAULT_MOTZKIN_CEILING = 20
@@ -108,53 +108,57 @@ _CACHED_LENGTH = 16
 
 @functools.lru_cache(maxsize=None)
 def _cached_peakless_texts(length: int) -> tuple[str, ...]:
-    return _peakless_texts(length)
+    lower = [_cached_peakless_texts(k) for k in range(length)]
+    return tuple(_peakless_level(length, lower))
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_peakless_words(length: int) -> tuple[MotzkinWord, ...]:
+    return tuple(map(MotzkinWord._wrap, _cached_peakless_texts(length)))
+
+
+def _peakless_level(length: int, lower: list[tuple[str, ...]]) -> list[str]:
+    """The peak-less Motzkin texts of one length, lexicographic (U < L < D).
+
+    `lower[k]` holds the texts of length k, for every k < length.  Each
+    nonempty word is L b, or U a D b with a nonempty (so no peak at the U
+    or the D) for exactly one pair: the U returns to its level first at the
+    D.  Since 'D' < 'L' < 'U' in ASCII, the one sort is reverse string order.
+    """
+    if length == 0:
+        return [""]
+    texts = list(map("L".__add__, lower[length - 1]))
+    for k in range(1, length - 1):
+        tails = lower[length - 2 - k]
+        for a in lower[k]:
+            texts += map(("U" + a + "D").__add__, tails)
+    return _lex_sorted(texts)
 
 
 def _peakless_texts(length: int) -> tuple[str, ...]:
-    out: list[str] = []
-    steps: list[str] = []
-
-    def extend(height: int) -> None:
-        pos = len(steps)
-        remaining = length - pos
-        if height > remaining:
-            return
-        if remaining == 0:
-            out.append("".join(steps))
-            return
-        last = steps[-1] if steps else ""
-        if height + 1 <= remaining - 1:
-            steps.append("U")
-            extend(height + 1)
-            steps.pop()
-        steps.append("L")
-        extend(height)
-        steps.pop()
-        if height > 0 and last != "U":
-            steps.append("D")
-            extend(height - 1)
-            steps.pop()
-
-    extend(0)
-    return tuple(out)
-
-
-def generate_peakless_motzkin(length: int) -> tuple[MotzkinWord, ...]:
-    """All peak-less Motzkin words of exactly the given length.
-
-    Lengths above DEFAULT_MOTZKIN_CEILING raise LimitExceededError; that
-    ceiling is fixed.  Lengths up to 16 are cached; longer ones are enumerated
-    afresh on every call.
-    """
+    """Texts of generate_peakless_motzkin, built level by level above 16."""
     if length < 0:
         raise ArgumentOutOfRangeError("length must be nonnegative")
     check_limit("Motzkin length", length, DEFAULT_MOTZKIN_CEILING)
     if length <= _CACHED_LENGTH:
-        texts = _cached_peakless_texts(length)
-    else:
-        texts = _peakless_texts(length)
-    return tuple(MotzkinWord._wrap(t) for t in texts)
+        return _cached_peakless_texts(length)
+    levels = [_cached_peakless_texts(k) for k in range(_CACHED_LENGTH + 1)]
+    for n in range(_CACHED_LENGTH + 1, length):
+        levels.append(tuple(_peakless_level(n, levels)))
+    return tuple(_peakless_level(length, levels))
+
+
+def generate_peakless_motzkin(length: int) -> tuple[MotzkinWord, ...]:
+    """All peak-less Motzkin words of exactly the given length, U < L < D.
+
+    Lengths above DEFAULT_MOTZKIN_CEILING raise LimitExceededError; that
+    ceiling is fixed.  Lengths up to 16 are cached; longer ones are built
+    afresh on every call.
+    """
+    texts = _peakless_texts(length)
+    if length <= _CACHED_LENGTH:
+        return _cached_peakless_words(length)
+    return tuple(map(MotzkinWord._wrap, texts))
 
 
 def count_peakless_motzkin(length: int) -> int:
@@ -162,7 +166,7 @@ def count_peakless_motzkin(length: int) -> int:
 
     Cumulative sums over lengths 1..n reproduce the staircase interval sizes.
     """
-    return len(generate_peakless_motzkin(length))
+    return len(_peakless_texts(length))
 
 
 @dataclass(frozen=True)

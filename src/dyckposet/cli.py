@@ -46,6 +46,8 @@ from .poset import build_interval, interval_to_dot, interval_to_json_dict, mobiu
 from .scans import (
     ALTERNATING_SCAN_CEILING,
     COVER_SCAN_CEILING,
+    _RANK2_CLI_BOUND,
+    _RANK3_CLI_BOUND,
     scan_alternating,
     scan_rank2_max,
     scan_rank3_max,
@@ -291,8 +293,8 @@ def verify_command(suite: str) -> None:
 
 _SCANS = {
     "alternating": (scan_alternating, ALTERNATING_SCAN_CEILING, True),
-    "rank2max": (scan_rank2_max, 4, False),
-    "rank3max": (scan_rank3_max, 3, True),
+    "rank2max": (scan_rank2_max, _RANK2_CLI_BOUND, False),
+    "rank3max": (scan_rank3_max, _RANK3_CLI_BOUND, True),
     "covercount": (sweep_cover_count, COVER_SCAN_CEILING, False),
 }
 

@@ -9,14 +9,15 @@ against.
 The hot path works on step texts (plain str, hashed and sorted in C): the
 deletion kernel, the rank walk, the interval's tables, the Möbius sweep and
 the renderings.  DyckWord objects are made only at the public boundary, one
-per element and never one per edge.
+per element and never one per edge.  One rank walk, _walk_down, steps down
+from a top: to the bottom for build_interval, as far as a scan reads for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 from .errors import (
     ArgumentOutOfRangeError,
@@ -345,17 +346,47 @@ def _mobius_sweep(
     return column
 
 
+def _walk_down(
+    bottom: str, top: str, lowest: int, children: Callable[[str], Iterable[str]]
+) -> tuple[list[tuple[str, ...]], dict[str, list[str]]]:
+    """The elements of [bottom, top] from `top` down to semilength `lowest`.
+
+    Returns (levels, covers_up): levels[i] holds the elements i ranks below
+    `top` and covers_up maps each element to its covers one rank up, both
+    lexicographic (U < D), as each level is walked in order.  A level is the
+    set of `children` of the one above that contain `bottom`: their Hasse
+    covers inside the interval.  Each rejected candidate is tested once, and
+    with `bottom` = UD none is, as every nonempty Dyck word contains UD.
+    Each element is one str object, shared by the levels and covers_up.
+    """
+    levels = [(top,)]
+    covers_up: dict[str, list[str]] = {top: []}
+    test = bottom != "UD"
+    for _ in range(len(top) // 2 - lowest):
+        reached: dict[str, list[str]] = {}
+        rejected: set[str] = set()
+        for w in levels[-1]:
+            for c in children(w):
+                parents = reached.get(c)
+                if parents is not None:
+                    parents.append(w)
+                elif not test or (c not in rejected and _contains_text(bottom, c)):
+                    reached[c] = [w]
+                else:
+                    rejected.add(c)
+        covers_up.update(reached)
+        levels.append(tuple(_lex_sorted(reached)))
+    return levels, covers_up
+
+
 def build_interval(
     bottom: DyckWord, top: DyckWord, limit: int | None = None
 ) -> IntervalModel:
     """Materialize [bottom, top] = {W : bottom <= W <= top}, rank by rank.
 
-    One walk runs downward from `top` over step texts: each element's
-    children under the deletion kernel are computed once, and the children
-    that contain `bottom` are kept.  They
-    are exactly the element's Hasse covers inside the interval, since a child
-    lies below an element below `top`, and together they form the next rank.
-    Containment in `bottom` is tested at most once per candidate per rank.
+    The rank walk, _walk_down, runs from `top` to the bottom through the
+    deletion kernel and gives the ranks and the up-covers; the down-covers
+    are their inversion, so the three tables share one str per element.
     Gradedness of the poset guarantees the walk reaches the whole interval,
     and at the bottom rank the only word containing `bottom` is `bottom`
     itself.  The tests check this construction against the
@@ -372,42 +403,22 @@ def build_interval(
     if not contains(bottom, top):
         raise NotComparableError(f"{bottom} is not a pattern of {top}")
 
-    lo = bottom.semilength
-    hi = top.semilength
-    pattern = bottom.text
-    level: tuple[str, ...] = (top.text,)
-    ranks: dict[int, tuple[str, ...]] = {hi: level}
+    levels, covers_up = _walk_down(
+        bottom.text, top.text, bottom.semilength, _deletion_texts
+    )
+    # Inverted and frozen one rank at a time, so that few lists are alive at
+    # once; a freed list leaves memory that the tuples cannot all reuse.
     covers_down: dict[str, tuple[str, ...]] = {}
-    covers_up: dict[str, list[str]] = {top.text: []}
-    for r in range(hi - 1, lo - 1, -1):
-        # kept maps each accepted child to its first instance, so that every
-        # table of the model shares one string per element.
-        kept: dict[str, str] = {}
-        rejected: set[str] = set()
-        for w in level:
-            kids = []
-            for child in _deletion_texts(w):
-                element = kept.get(child)
-                if element is None:
-                    if child in rejected:
-                        continue
-                    if not _contains_text(pattern, child):
-                        rejected.add(child)
-                        continue
-                    element = kept[child] = child
-                    covers_up[child] = []
-                kids.append(element)
-                covers_up[element].append(w)
-            covers_down[w] = tuple(kids)
-        level = tuple(_lex_sorted(kept))
-        ranks[r] = level
-    for w in level:
-        covers_down[w] = ()
-
-    # Each rank is walked in lexicographic order, so every up-cover list is
-    # already sorted.
-    frozen_up = {w: tuple(v) for w, v in covers_up.items()}
-    return IntervalModel(bottom, top, ranks, covers_down, frozen_up)
+    covers_up[top.text] = ()
+    for upper, lower in zip(levels, [*levels[1:], ()]):
+        down: dict[str, list[str]] = {w: [] for w in upper}
+        for w in lower:
+            parents = covers_up[w] = tuple(covers_up[w])
+            for parent in parents:
+                down[parent].append(w)
+        covers_down.update((w, tuple(v)) for w, v in down.items())
+    ranks = dict(zip(range(top.semilength, -1, -1), levels))
+    return IntervalModel(bottom, top, ranks, covers_down, covers_up)
 
 
 def mobius(bottom: DyckWord, top: DyckWord, limit: int | None = None) -> int:

@@ -1,8 +1,9 @@
 """Desk-scale scans over Möbius values and cover counts.
 
 The three Möbius scans run on one windowed walk over step texts: for each top
-word it steps down through the deletion kernel to the lowest rank the scan
-reads, then sweeps the poset engine's one Möbius recursion back down from the
+word the poset engine's one downward rank walk steps through the deletion
+kernel to the lowest rank the scan reads, with each rank in lexicographic
+order, then the engine's one Möbius recursion is swept back down from the
 top, which gives mu(x, top) for every x in that window.  DyckWords are made
 only for the tops; witnesses are reported as texts.  A rank-k scan reads only
 the k ranks below each top; the alternation scan walks down to UD, i.e. the
@@ -15,6 +16,7 @@ suppress.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from itertools import chain
@@ -22,8 +24,14 @@ from typing import Iterable, Iterator
 
 from .errors import ArgumentOutOfRangeError, check_limit
 from .formulas import cover_count_formula
-from .poset import IntervalModel, _deletion_texts, _insertion_texts, _mobius_sweep
-from .words import DyckWord, _lex_sorted, elevated_staircase, factors, generate_all
+from .poset import (
+    IntervalModel,
+    _deletion_texts,
+    _insertion_texts,
+    _mobius_sweep,
+    _walk_down,
+)
+from .words import DyckWord, elevated_staircase, factors, generate_all
 
 #: Scan-specific ceilings, sized to finish in seconds on a laptop.  A scan's
 #: `limit=` argument, when given, replaces its ceiling.
@@ -31,6 +39,10 @@ ALTERNATING_SCAN_CEILING = 6
 RANK2_SCAN_CEILING = 7
 RANK3_SCAN_CEILING = 6
 COVER_SCAN_CEILING = 7
+#: Bounds that `dyckposet conjecture rank2max/rank3max` runs with when no
+#: --max is given: below the ceilings, so that the default run is quick.
+_RANK2_CLI_BOUND = 4
+_RANK3_CLI_BOUND = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,34 +95,16 @@ def _top_windows(
     """For each top, the ranks from it down to semilength `lowest`, and mu(x, top).
 
     Yields (top, levels, column): levels[i] holds the step texts of the words
-    i ranks below the top, in no particular order, and column maps each of
-    them to mu(x, top).  Every word of semilength >= 1 contains UD, so with
-    lowest = 1 the window is exactly the interval [UD, top], and for larger
-    `lowest` it is the top part of that interval, which holds every element
-    between a low-rank x and the top.  No containment test is needed.
-
-    The tops share most of their descendants, so each word's deletion
-    children are computed once per call and kept until the walk is done.
-    Elements are keyed by their step text, whose hashing runs in C.
+    i ranks below the top, lexicographic (U < D), and column maps each of
+    them to mu(x, top).  Each window is the rank walk with bottom UD, so with
+    lowest = 1 it is exactly the interval [UD, top], and for larger `lowest`
+    it is the top part of that interval, which holds every element between
+    a low-rank x and the top.  The tops share most of their descendants, so
+    each word's deletion children are computed once per call.
     """
-    children: dict[str, tuple[str, ...]] = {}
+    children = functools.lru_cache(maxsize=None)(_deletion_texts)
     for top in tops:
-        levels = [(top.text,)]
-        covers_up: dict[str, list[str]] = {top.text: []}
-        for _ in range(top.semilength - lowest):
-            reached: dict[str, list[str]] = {}
-            for w in levels[-1]:
-                kids = children.get(w)
-                if kids is None:
-                    kids = children[w] = _deletion_texts(w)
-                for c in kids:
-                    parents = reached.get(c)
-                    if parents is None:
-                        reached[c] = [w]
-                    else:
-                        parents.append(w)
-            covers_up.update(reached)
-            levels.append(tuple(reached))
+        levels, covers_up = _walk_down("UD", top.text, lowest, children)
         yield top.text, levels, _mobius_sweep(levels, covers_up, top.text)
 
 
@@ -138,7 +132,7 @@ def scan_alternating(max_top_semilength: int, limit: int | None = None) -> ScanR
     for top, levels, column in _top_windows(tops, 1):
         # levels[i] lies i ranks below the top; report ranks ascending.
         for i in range(len(levels) - 1, -1, -1):
-            for x in _lex_sorted(levels[i]):
+            for x in levels[i]:
                 value = column[x]
                 pairs += 1
                 if value < 0 if i % 2 == 0 else value > 0:
@@ -174,7 +168,7 @@ def _scan_rank_max(
     attaining: list[dict] = []
     pairs = 0
     for top, levels, column in _top_windows(generate_all(n + k), n):
-        for p in _lex_sorted(levels[-1]):
+        for p in levels[-1]:
             value = column[p]
             size = value if signed else abs(value)
             pairs += 1

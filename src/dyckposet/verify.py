@@ -42,7 +42,7 @@ from .formulas import (
     two_peak_rank_count_h0,
 )
 from .poset import build_interval, covers_of, deletion_children
-from .scans import sweep_cover_count
+from .scans import COVER_SCAN_CEILING, sweep_cover_count
 from .words import (
     DyckWord,
     contains,
@@ -345,10 +345,10 @@ def suite_mobius_closed() -> list[Check]:
 
 def suite_covercount() -> list[Check]:
     """Cover-count formula sweep plus the two worked examples."""
-    report = sweep_cover_count(7)
+    report = sweep_cover_count(COVER_SCAN_CEILING)
     checks = [
         _check(
-            "cover-count sweep (semilength <= 7)",
+            f"cover-count sweep (semilength <= {COVER_SCAN_CEILING})",
             list(report.witnesses) if not report.consistent else [],
         )
     ]

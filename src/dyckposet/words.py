@@ -57,11 +57,11 @@ def _lex_sorted(texts: Iterable[str]) -> list[str]:
 
 
 def _check_steps(text: str) -> None:
-    for pos, step in enumerate(text):
-        if step not in ("U", "D"):
-            raise InvalidCharacterError(f"invalid step {step!r} at position {pos}")
     ups = text.count("U")
-    downs = len(text) - ups
+    downs = text.count("D")
+    if ups + downs != len(text):
+        pos, step = next((p, s) for p, s in enumerate(text) if s not in "UD")
+        raise InvalidCharacterError(f"invalid step {step!r} at position {pos}")
     if ups != downs:
         raise UnbalancedError(f"unbalanced word: {ups} U steps vs {downs} D steps")
     height = 0

@@ -16,15 +16,23 @@ Full-interval Möbius scans: the oracle for the windowed scans.  They build
 each whole interval [UD, top] with `build_interval`, whose rank walk tests
 containment, and read the Möbius column of the materialized model.
 
+Generate-and-filter down-set: the oracle for the downward rank walk.  Each
+level is every Dyck word of its semilength, from the product filter, that
+contains the bottom and is contained in the top; the up-covers are the
+generate-and-filter covers that stay inside the levels.
+
 Product filter: the oracle for `generate_all`.  It lists every U/D string of
 the length in `itertools.product` order, which is lexicographic (U < D), and
-keeps the Dyck ones.
+keeps the Dyck ones.  Over {U, L, D} in reverse ASCII order, which is U < L
+< D, the same filter with no UD peak is the oracle for the peak-less Motzkin
+words.
 """
 
 import functools
 from itertools import combinations, product
 
 from dyckposet import (
+    DyckWord,
     build_interval,
     contains,
     elevated_staircase,
@@ -103,9 +111,50 @@ def mobius_columns(bottom, top):
     return from_bottom, to_top
 
 
+@functools.lru_cache(maxsize=None)
 def dyck_texts(n):
     """The Dyck step strings of semilength n, lexicographic (U < D)."""
-    return ["".join(steps) for steps in product("UD", repeat=2 * n) if _is_dyck(steps)]
+    texts = ("".join(steps) for steps in product("UD", repeat=2 * n))
+    return tuple(t for t in texts if _is_dyck(t))
+
+
+def peakless_texts(length):
+    """The peak-less Motzkin strings of this length, lexicographic (U < L < D)."""
+    texts = ("".join(steps) for steps in product("ULD", repeat=length))
+    return tuple(t for t in texts if _is_dyck(t.replace("L", "")) and "UD" not in t)
+
+
+@functools.lru_cache(maxsize=None)
+def _dyck_words(n):
+    return tuple(map(DyckWord, dyck_texts(n)))
+
+
+@functools.lru_cache(maxsize=None)
+def _interval_levels(bottom, top):
+    """The ranks of [bottom, top] as step texts, top-first and lexicographic."""
+    levels = []
+    for r in range(top.semilength, bottom.semilength - 1, -1):
+        words = _dyck_words(r)
+        levels.append(
+            tuple(w.text for w in words if contains(bottom, w) and contains(w, top))
+        )
+    return levels
+
+
+def down_set(bottom, top, lowest):
+    """Levels from `top` down to semilength `lowest` of [bottom, top], and up-covers.
+
+    Returns (levels, covers_up) over step texts, as the rank walk does:
+    levels top-first and lexicographic, covers_up mapping each element to
+    its covers one rank up inside the levels, lexicographic.
+    """
+    levels = _interval_levels(bottom, top)[: top.semilength - lowest + 1]
+    members = {t for level in levels for t in level}
+    covers_up = {top.text: []}
+    for level in levels[1:]:
+        for t in level:
+            covers_up[t] = [u.text for u in covers_of(DyckWord(t)) if u.text in members]
+    return levels, covers_up
 
 
 def _scan_payload(scan, scope, consistent, summary, witnesses):

@@ -11,7 +11,16 @@ import inspect
 import oracle
 import pytest
 
-from dyckposet import build_interval, generate_all, parse_word, poset, scans, words
+from dyckposet import (
+    bijections,
+    build_interval,
+    contains,
+    generate_all,
+    parse_word,
+    poset,
+    scans,
+    words,
+)
 from dyckposet.scans import mobius_to_top
 
 UD = parse_word("UD")
@@ -55,9 +64,25 @@ def check_mobius_sweep():
         assert swept_down == {w.text: v for w, v in to_top.items()}, (bottom, top)
 
 
+def check_walk_down():
+    # Order included: levels top-first and lexicographic, up-covers
+    # lexicographic, for bottoms UD (no containment test) and larger.
+    bottoms = [UD] + [w for n in (2, 3) for w in generate_all(n)]
+    for top in [w for n in range(1, 7) for w in generate_all(n)]:
+        for bottom in bottoms:
+            if not contains(bottom, top):
+                continue
+            for lowest in range(bottom.semilength, top.semilength + 1):
+                expected = oracle.down_set(bottom, top, lowest)
+                walked = poset._walk_down(
+                    bottom.text, top.text, lowest, poset._deletion_texts
+                )
+                assert walked == expected, (bottom, top, lowest)
+
+
 def check_top_windows():
     # Each window is the top part of the whole interval [UD, top], built by
-    # the containment-testing rank walk, with its top-anchored column.
+    # the rank walk, with its top-anchored column.
     for lowest in range(1, 7):
         tops = [top for n in range(lowest, 7) for top in generate_all(n)]
         windows = scans._top_windows(tops, lowest)
@@ -66,9 +91,7 @@ def check_top_windows():
             full = {w.text: v for w, v in mobius_to_top(model).items()}
             ranks = range(top.semilength, lowest - 1, -1)
             assert text == top.text
-            assert [sorted(level) for level in levels] == [
-                sorted(model.text_ranks[r]) for r in ranks
-            ]
+            assert levels == [model.text_ranks[r] for r in ranks]
             assert column == {w: full[w] for r in ranks for w in model.text_ranks[r]}
 
 
@@ -89,7 +112,13 @@ def check_scans():
 
 def check_generate_all():
     for n in range(9):
-        assert [w.text for w in generate_all(n)] == oracle.dyck_texts(n), n
+        assert tuple(w.text for w in generate_all(n)) == oracle.dyck_texts(n), n
+
+
+def check_generate_peakless_motzkin():
+    for n in range(11):
+        texts = tuple(w.text for w in bijections.generate_peakless_motzkin(n))
+        assert texts == oracle.peakless_texts(n), n
 
 
 # fast kernel -> the check that compares it with its oracle
@@ -97,10 +126,12 @@ ORACLES = {
     poset._deletion_texts: check_deletion_texts,
     poset._insertion_texts: check_insertion_texts,
     poset._mobius_sweep: check_mobius_sweep,
+    poset._walk_down: check_walk_down,
     scans._top_windows: check_top_windows,
     scans._scan_rank_max: check_scans,
     scans._witness: check_scans,
     words.generate_all: check_generate_all,
+    bijections.generate_peakless_motzkin: check_generate_peakless_motzkin,
 }
 
 

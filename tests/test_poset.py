@@ -404,3 +404,22 @@ def test_views_equal_generate_and_filter_and_share_one_word_per_element(
         *(w for edge in model.hasse_edges for w in edge),
     ]
     assert all(w is one[w.text] for w in shared)
+
+
+@pytest.mark.parametrize(
+    "bottom_text, top_text", [("UD", "UUDUDUDUDUDUDD"), ("UUDD", "UUDUDUDUDUDUDD")]
+)
+def test_text_tables_share_one_str_per_element(bottom_text, top_text):
+    # Every key, level entry and cover entry of the three text tables is
+    # the same str object, so an interval holds each element's text once.
+    model = build_interval(parse_word(bottom_text), parse_word(top_text))
+    one = {w: w for level in model.text_ranks.values() for w in level}
+    assert len(one) == model.s0() > 80
+    shared = [
+        *(w for level in model.text_ranks.values() for w in level),
+        *model.text_covers_down,
+        *model.text_covers_up,
+        *(w for covers in model.text_covers_down.values() for w in covers),
+        *(w for covers in model.text_covers_up.values() for w in covers),
+    ]
+    assert all(w is one[w] for w in shared)

@@ -50,6 +50,19 @@ def test_parse_rejects_bad_input():
         parse_word("DU")
     with pytest.raises(PrefixViolationError):
         parse_word("UDDU")
+    # Mixed faults, through the parser and straight to the validator: a bad
+    # step wins, at its first position, then balance, then the prefix.
+    for make in (parse_word, DyckWord):
+        with pytest.raises(InvalidCharacterError, match="'X' at position 3$"):
+            make("DDUX")
+        with pytest.raises(InvalidCharacterError, match="'X' at position 1$"):
+            make("DXDX")
+        with pytest.raises(UnbalancedError, match="2 U steps vs 1 D steps$"):
+            make("DUU")
+        with pytest.raises(PrefixViolationError, match="position 0 has"):
+            make("DUDUUD")
+    with pytest.raises(InvalidCharacterError, match="'u' at position 2$"):
+        DyckWord("UDuD")
 
 
 def test_word_identity_and_json():
