@@ -53,7 +53,7 @@ from .scans import (
     scan_rank3_max,
     sweep_cover_count,
 )
-from .verify import run_suite
+from .verify import SUITES, run_suite
 from .words import contains, factors, parse_word, runs, statistics
 
 
@@ -146,7 +146,7 @@ def interval_command(ctx: click.Context, bottom: str, top: str, view: str) -> No
     elif view == "dot":
         click.echo(interval_to_dot(model), nl=False)
     elif view == "edges":
-        lines = "".join(f"{lo} {up}\n" for lo, up in model._text_edges())
+        lines = "".join(f"{lo} {up}\n" for lo, up in model.text_edges())
         click.echo(lines, nl=False)
     elif view == "elements":
         for r in model.rank_span:
@@ -270,14 +270,13 @@ def formula_command(name: str, args: tuple[str, ...], as_json: bool) -> None:
         click.echo(str(value))
 
 
-@cli.command(name="verify")
+@cli.command(
+    name="verify",
+    help="Run a verification suite (or `all`) and fail on any oracle mismatch.\n\n"
+    f"Suites: {', '.join([*SUITES, 'all'])}.",
+)
 @click.argument("suite")
 def verify_command(suite: str) -> None:
-    """Run a verification suite (or `all`) and fail on any oracle mismatch.
-
-    Suites: table1, sizes, twopeak, delta, s1, mobius-closed, bijections,
-    covercount, all.
-    """
     checks = run_suite(suite)
     failures = 0
     for check in checks:
@@ -299,7 +298,17 @@ _SCANS = {
 }
 
 
-@cli.command(name="conjecture")
+def _levels(conjecture_level: bool) -> str:
+    return ", ".join(k for k, scan in _SCANS.items() if scan[2] == conjecture_level)
+
+
+@cli.command(
+    name="conjecture",
+    help=f"Run a Möbius/cover scan: {', '.join([*_SCANS][:-1])} or {[*_SCANS][-1]}."
+    f"\n\nConjecture-level scans ({_levels(True)}) exit 0 even when they find a "
+    "violation: a counterexample is a finding, reported in the witnesses. "
+    f"Proposition-level scans ({_levels(False)}) exit 1 on violation.",
+)
 @click.argument("scan_id", metavar="ID")
 @click.option("--max", "max_value", type=int, default=None, help="Scan bound.")
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
@@ -307,12 +316,6 @@ _SCANS = {
 def conjecture_command(
     ctx: click.Context, scan_id: str, max_value: int | None, as_json: bool
 ) -> None:
-    """Run a Möbius/cover scan: alternating, rank2max, rank3max or covercount.
-
-    Conjecture-level scans (alternating, rank3max) exit 0 even when they find
-    a violation: a counterexample is a finding, reported in the witnesses.
-    Proposition-level scans (rank2max, covercount) exit 1 on violation.
-    """
     if scan_id not in _SCANS:
         known = ", ".join(sorted(_SCANS))
         raise ArgumentOutOfRangeError(f"unknown scan {scan_id!r}; expected one of: {known}")

@@ -15,6 +15,7 @@ from a top: to the bottom for build_interval, as far as a scan reads for it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
@@ -139,12 +140,9 @@ class IntervalModel:
     sorted lexicographically (U < D) so that every derived output is
     deterministic.  Each element is one str object shared by the three.
     Counts, chains, deltas, membership, the Möbius function and the
-    renderings read these tables.
-
-    `elements_by_rank`, `covers_down`, `covers_up` and `members` are the same
-    tables over DyckWords.  They are built on first access, with one DyckWord
-    per element shared by all four, and cached, as is the Möbius column; the
-    text tables never change.
+    renderings read these tables, which never change; the Möbius column is
+    cached.  DyckWords are made only at the query edge: by `elements()` and
+    `mobius_table()`, one per element.
     """
 
     bottom: DyckWord
@@ -157,64 +155,35 @@ class IntervalModel:
     def rank_span(self) -> range:
         return range(self.bottom.semilength, self.top.semilength + 1)
 
-    @cached_property
-    def _words(self) -> dict[str, DyckWord]:
-        """One DyckWord per element, shared by the four DyckWord views."""
-        return {w: DyckWord._wrap(w) for w in self.text_covers_down}
-
-    @cached_property
-    def elements_by_rank(self) -> dict[int, tuple[DyckWord, ...]]:
-        word = self._words.__getitem__
-        return {r: tuple(map(word, level)) for r, level in self.text_ranks.items()}
-
-    def _cover_view(
-        self, table: dict[str, tuple[str, ...]]
-    ) -> dict[DyckWord, tuple[DyckWord, ...]]:
-        word = self._words.__getitem__
-        return {word(w): tuple(map(word, covers)) for w, covers in table.items()}
-
-    @cached_property
-    def covers_down(self) -> dict[DyckWord, tuple[DyckWord, ...]]:
-        return self._cover_view(self.text_covers_down)
-
-    @cached_property
-    def covers_up(self) -> dict[DyckWord, tuple[DyckWord, ...]]:
-        return self._cover_view(self.text_covers_up)
-
-    @cached_property
-    def members(self) -> frozenset[DyckWord]:
-        return frozenset(self._words.values())
-
     def elements(self) -> Iterator[DyckWord]:
         """All elements, rank by rank, lexicographic within each rank."""
         for r in self.rank_span:
-            yield from self.elements_by_rank[r]
+            yield from map(DyckWord._wrap, self.text_ranks[r])
 
     def __contains__(self, word: object) -> bool:
         return isinstance(word, DyckWord) and word.text in self.text_covers_down
 
-    def _text_edges(self) -> Iterator[tuple[str, str]]:
+    def text_edges(self) -> Iterator[tuple[str, str]]:
         """Hasse edges (lower, upper), rank by rank, lexicographic within each."""
         for r in self.rank_span[:-1]:
             for lower in self.text_ranks[r]:
                 for upper in self.text_covers_up[lower]:
                     yield lower, upper
 
-    @property
-    def hasse_edges(self) -> tuple[tuple[DyckWord, DyckWord], ...]:
-        word = self._words.__getitem__
-        return tuple((word(lo), word(up)) for lo, up in self._text_edges())
-
     def s0(self) -> int:
         """Number of elements (saturated chains of length 0)."""
         return len(self.text_covers_down)
 
-    def s0_by_rank(self, k: int) -> int:
+    def _rank(self, k: int) -> tuple[str, ...]:
+        """The elements of rank `k`; a rank outside rank_span raises."""
         if k not in self.rank_span:
             raise RankOutOfRangeError(
                 f"rank {k} outside [{self.rank_span.start}, {self.rank_span.stop - 1}]"
             )
-        return len(self.text_ranks[k])
+        return self.text_ranks[k]
+
+    def s0_by_rank(self, k: int) -> int:
+        return len(self._rank(k))
 
     def s1(self) -> int:
         """Number of Hasse edges (saturated chains of length 1)."""
@@ -238,8 +207,9 @@ class IntervalModel:
         """Saturated chains of length `ell` whose top element has rank `k`."""
         if ell < 0:
             raise ArgumentOutOfRangeError("chain length must be nonnegative")
+        level = self._rank(k)
         counts = self._chain_counts(ell)
-        return sum(counts[w] for w in self.text_ranks.get(k, ()))
+        return sum(counts[w] for w in level)
 
     def delta(self, word: DyckWord) -> int:
         """Number of interval elements covered by `word` (inside the interval)."""
@@ -251,10 +221,7 @@ class IntervalModel:
 
     def delta_histogram(self) -> dict[int, int]:
         """Map t -> number of elements covering exactly t interval elements."""
-        hist: dict[int, int] = {}
-        for covered in self.text_covers_down.values():
-            t = len(covered)
-            hist[t] = hist.get(t, 0) + 1
+        hist = Counter(map(len, self.text_covers_down.values()))
         return dict(sorted(hist.items()))
 
     @cached_property
@@ -437,7 +404,7 @@ def interval_to_json_dict(model: IntervalModel) -> dict:
             {"r": r, "count": len(ranks[r]), "elements": list(ranks[r])}
             for r in model.rank_span
         ],
-        "edges": [[lo, up] for lo, up in model._text_edges()],
+        "edges": [[lo, up] for lo, up in model.text_edges()],
         "mobius": {w: column[w] for r in model.rank_span for w in ranks[r]},
     }
 
@@ -448,7 +415,7 @@ def interval_to_dot(model: IntervalModel) -> str:
     for r in model.rank_span:
         row = " ".join(f'"{w}";' for w in model.text_ranks[r])
         lines.append("  { rank=same; " + row + " }")
-    for lo, up in model._text_edges():
+    for lo, up in model.text_edges():
         lines.append(f'  "{lo}" -> "{up}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

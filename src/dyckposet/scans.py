@@ -112,12 +112,19 @@ def _witness(bottom: str, top: str, value: int) -> dict:
     return {"bottom": bottom, "top": top, "mu": value}
 
 
+def _check_bound(what: str, value: int, ceiling: int, limit: int | None) -> None:
+    """Refuse a scan bound above `limit` (else `ceiling`), then one below 1."""
+    check_limit(what, value, ceiling, limit)
+    if value < 1:
+        raise ArgumentOutOfRangeError(f"{what} must be >= 1, got {value}")
+
+
 def scan_alternating(max_top_semilength: int, limit: int | None = None) -> ScanReport:
     """Check the sign of mu over every comparable pair with bounded top.
 
     Expected: mu >= 0 on even rank differences and mu <= 0 on odd ones.
     """
-    check_limit(
+    _check_bound(
         "alternating scan top semilength",
         max_top_semilength,
         ALTERNATING_SCAN_CEILING,
@@ -158,10 +165,6 @@ def _scan_rank_max(
     order, then bottoms lexicographic.  The verdict is consistent iff the
     maximum is `expected` and the elevated-staircase pair attains it.
     """
-    if n < 1:
-        raise ArgumentOutOfRangeError(
-            f"{scan} scan bottom semilength must be >= 1, got {n}"
-        )
     start = time.perf_counter()
     canonical = (elevated_staircase(n).text, elevated_staircase(n + k).text)
     best: int | None = None
@@ -201,7 +204,7 @@ def scan_rank2_max(n: int, limit: int | None = None) -> ScanReport:
     attaining intervals are recorded as witnesses (the proof does not say the
     attaining interval is unique, and the scan makes no such claim).
     """
-    check_limit("rank2max scan bottom semilength", n, RANK2_SCAN_CEILING, limit)
+    _check_bound("rank2max scan bottom semilength", n, RANK2_SCAN_CEILING, limit)
     return _scan_rank_max("rank2max", 2, n, n * n, "expected_max", signed=True)
 
 
@@ -211,7 +214,7 @@ def scan_rank3_max(n: int, limit: int | None = None) -> ScanReport:
     Conjectured maximum (2n+1) * n^2, attained by the elevated-staircase
     pair; the verdict reflects the scanned range only.
     """
-    check_limit("rank3max scan bottom semilength", n, RANK3_SCAN_CEILING, limit)
+    _check_bound("rank3max scan bottom semilength", n, RANK3_SCAN_CEILING, limit)
     expected = (2 * n + 1) * n * n
     return _scan_rank_max("rank3max", 3, n, expected, "conjectured_max", signed=False)
 
@@ -223,7 +226,7 @@ def sweep_cover_count(max_semilength: int, limit: int | None = None) -> ScanRepo
     no DyckWord made per cover.  Also confirms, rank by rank, that the
     maximum n^2 + 1 is attained exactly by the one-factor words.
     """
-    check_limit("covercount scan semilength", max_semilength, COVER_SCAN_CEILING, limit)
+    _check_bound("covercount scan semilength", max_semilength, COVER_SCAN_CEILING, limit)
     start = time.perf_counter()
     words_checked = 0
     violations: list[dict] = []

@@ -249,23 +249,19 @@ class WordStats(NamedTuple):
 
 
 def statistics(word: DyckWord) -> WordStats:
-    """Semilength, peak count, ascent count and height (max prefix U-surplus)."""
+    """Semilength, peak count, ascent count and height (max prefix U-surplus).
+
+    A Dyck word cannot end in U, so every maximal U-run ends at a peak, and
+    the ascent count is the peak count.
+    """
     text = word.text
-    ascents = 0
     height = 0
     best = 0
-    prev = "D"
     for step in text:
-        if step == "U":
-            height += 1
-            if prev == "D":
-                ascents += 1
-            if height > best:
-                best = height
-        else:
-            height -= 1
-        prev = step
-    return WordStats(len(text) // 2, text.count("UD"), ascents, best)
+        height += 1 if step == "U" else -1
+        best = max(best, height)
+    peaks = text.count("UD")
+    return WordStats(len(text) // 2, peaks, peaks, best)
 
 
 def factors(word: DyckWord) -> tuple[int, ...]:

@@ -189,7 +189,9 @@ def scan_rank_max(k, n):
     for top in generate_all(n + k):
         model = build_interval(staircase(1), top)
         column = mobius_to_top(model)
-        for p in model.elements_by_rank.get(n, ()):
+        for p in model.elements():
+            if p.semilength != n:
+                continue
             value = column[p]
             size = value if signed else abs(value)
             pairs += 1

@@ -11,8 +11,12 @@ from pathlib import Path
 import pytest
 
 import dyckposet
-from dyckposet import build_interval, parse_word
-from dyckposet.cli import main
+import oracle
+from test_scans import SCAN_BOUND
+
+from dyckposet import parse_word
+from dyckposet.cli import _SCANS, main
+from dyckposet.verify import SUITES
 
 # `verify all` stdout, byte for byte: every check of every suite passing.
 VERIFY_ALL_GOLDEN = (Path(__file__).parent / "golden" / "verify_all.stdout").read_bytes()
@@ -99,8 +103,12 @@ def test_interval_views():
     assert "UD UUDD" in out
     for bottom, top in [("UD", "UDUDUD"), ("UUDD", "UUDUDUDD"), ("UD", "UD")]:
         code, out, _ = run("interval", bottom, top, "--edges")
-        model = build_interval(parse_word(bottom), parse_word(top))
-        expected = "".join(f"{lo.text} {up.text}\n" for lo, up in model.hasse_edges)
+        b = parse_word(bottom)
+        levels, covers_up = oracle.down_set(b, parse_word(top), b.semilength)
+        # Ranks ascending, without the top rank, which has no cover above.
+        expected = "".join(
+            f"{lo} {up}\n" for level in levels[:0:-1] for lo in level for up in covers_up[lo]
+        )
         assert (code, out) == (0, expected)
     code, out, _ = run("interval", "UD", "UDUDUD", "--dot")
     assert out.startswith("digraph interval {")
@@ -158,12 +166,12 @@ def test_conjecture_command():
     assert run("conjecture", "nonsense")[0] == 1
 
 
-@pytest.mark.parametrize("scan", ["rank2max", "rank3max"])
+@pytest.mark.parametrize("scan", ["rank2max", "rank3max", "alternating", "covercount"])
 @pytest.mark.parametrize("n", ["0", "-1"])
 def test_conjecture_rank_scans_refuse_a_bottom_below_semilength_1(scan, n):
     code, out, err = run("conjecture", scan, "--max", n)
     assert (code, out) == (1, "")
-    assert err == f"error: {scan} scan bottom semilength must be >= 1, got {n}\n"
+    assert err == f"error: {scan} scan {SCAN_BOUND[scan]} must be >= 1, got {n}\n"
 
 
 def test_conjecture_covercount_stops_at_its_ceiling():
@@ -220,6 +228,16 @@ def test_verify_all_stdout_matches_the_golden_file():
 def test_help_exits_zero():
     code, out, _ = run("--help")
     assert code == 0
+
+
+def test_help_lists_every_suite_and_scan_from_their_tables():
+    out = " ".join(run("verify", "--help")[1].split())
+    assert f"Suites: {', '.join([*SUITES, 'all'])}." in out
+    out = " ".join(run("conjecture", "--help")[1].split())
+    assert all(name in out for name in _SCANS)
+    for level, conjecture_level in [("Conjecture", True), ("Proposition", False)]:
+        names = ", ".join(k for k, scan in _SCANS.items() if scan[2] == conjecture_level)
+        assert f"{level}-level scans ({names}) exit" in out
 
 
 def test_verify_all_runs_under_optimize_flag():

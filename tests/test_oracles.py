@@ -12,6 +12,8 @@ import oracle
 import pytest
 
 from dyckposet import (
+    ArgumentOutOfRangeError,
+    LimitExceededError,
     bijections,
     build_interval,
     contains,
@@ -110,6 +112,26 @@ def check_scans():
     assert without_elapsed(scans.scan_alternating(5)) == oracle.scan_alternating(5)
 
 
+def check_scan_bound():
+    # Above the active bound (`limit` if given, else the ceiling) is refused
+    # as a limit, and below 1 as out of range, whatever the bound.
+    for limit in (None, -2, 0, 2, 6):
+        bound, kind = (4, "ceiling") if limit is None else (limit, "limit")
+        for value in range(-3, 8):
+            if value > bound:
+                expected = LimitExceededError, f"scan n {value} exceeds the {kind} {bound}"
+            elif value < 1:
+                expected = ArgumentOutOfRangeError, f"scan n must be >= 1, got {value}"
+            else:
+                expected = None
+            try:
+                scans._check_bound("scan n", value, 4, limit)
+                outcome = None
+            except (LimitExceededError, ArgumentOutOfRangeError) as refused:
+                outcome = type(refused), str(refused)
+            assert outcome == expected, (value, limit)
+
+
 def check_generate_all():
     for n in range(9):
         assert tuple(w.text for w in generate_all(n)) == oracle.dyck_texts(n), n
@@ -130,6 +152,7 @@ ORACLES = {
     scans._top_windows: check_top_windows,
     scans._scan_rank_max: check_scans,
     scans._witness: check_scans,
+    scans._check_bound: check_scan_bound,
     words.generate_all: check_generate_all,
     bijections.generate_peakless_motzkin: check_generate_peakless_motzkin,
 }

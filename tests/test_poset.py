@@ -45,6 +45,10 @@ def reference_elements(bottom, top):
     }
 
 
+def texts_by_rank(reference):
+    return {r: tuple(w.text for w in level) for r, level in reference.items()}
+
+
 @pytest.mark.parametrize(
     "bottom_text, top_text",
     [
@@ -63,15 +67,16 @@ def test_build_interval_matches_generate_and_filter(bottom_text, top_text):
     bottom, top = parse_word(bottom_text), parse_word(top_text)
     model = build_interval(bottom, top)
     reference = reference_elements(bottom, top)
-    assert dict(model.elements_by_rank) == reference
-    reference_edges = {
-        (lo, up)
+    assert model.text_ranks == texts_by_rank(reference)
+    assert list(model.elements()) == [w for r in reference for w in reference[r]]
+    reference_edges = [
+        (lo.text, up.text)
         for r in list(reference)[:-1]
         for lo in reference[r]
-        for up in reference.get(r + 1, ())
+        for up in reference[r + 1]
         if contains(lo, up)
-    }
-    assert set(model.hasse_edges) == reference_edges
+    ]
+    assert list(model.text_edges()) == reference_edges
 
 
 def test_build_interval_validations():
@@ -86,15 +91,18 @@ def test_trivial_interval():
     model = build_interval(UD, UD)
     assert model.s0() == 1
     assert model.s1() == 0
-    assert model.hasse_edges == ()
+    assert list(model.text_edges()) == []
+    assert list(model.elements()) == [UD]
     assert model.mobius() == 1
 
 
 def test_hasse_edges_join_consecutive_ranks():
     model = build_interval(UD, two_peak(2, 3, 1))
-    for lower, upper in model.hasse_edges:
-        assert upper.semilength == lower.semilength + 1
-        assert contains(lower, upper)
+    edges = list(model.text_edges())
+    assert len(edges) == model.s1()
+    for lower, upper in edges:
+        assert len(upper) == len(lower) + 2
+        assert contains(parse_word(lower), parse_word(upper))
 
 
 def test_rank_query_bounds():
@@ -104,6 +112,11 @@ def test_rank_query_bounds():
         model.s0_by_rank(5)
     with pytest.raises(RankOutOfRangeError):
         model.s0_by_rank(0)
+    # Chains by top rank look up the rank the same way.
+    assert model.s_ell_by_top_rank(0, 1) == 1
+    for k in (0, 5, 9):
+        with pytest.raises(RankOutOfRangeError):
+            model.s_ell_by_top_rank(1, k)
 
 
 def test_chain_counts():
@@ -189,7 +202,8 @@ def test_poset_operations_reject_the_empty_word():
 def test_interval_covering_matches_global_covering_for_initial_intervals():
     model = build_interval(UD, two_peak(2, 3, 1))
     for word in model.elements():
-        assert model.covers_down[word] == covered_by(word)
+        expected = oracle.covered_by(word)
+        assert model.text_covers_down[word.text] == tuple(w.text for w in expected)
         assert model.delta(word) == len(covered_by(word))
 
 
@@ -354,18 +368,19 @@ def test_mobius_sweep_on_a_boolean_lattice(k):
             assert to_top[s] == (-1) ** (k - len(s))
 
 
-VIEWS = ("elements_by_rank", "covers_down", "covers_up", "members", "_words")
-
-
-def test_queries_and_renderings_build_no_dyckword_view():
-    model = build_interval(UD, two_peak(2, 3, 1))
-    model.s0(), model.s1(), model.s0_by_rank(3), model.delta_histogram()
-    model.s_ell(2), model.mobius(), model.mobius_table(), mobius_to_top(model)
-    interval_to_json_dict(model), interval_to_dot(model)
-    assert UD in model and parse_word("UUUUUDDDDD") not in model
-    assert not set(VIEWS) & set(vars(model))
-    model.elements_by_rank
-    assert set(VIEWS) & set(vars(model)) == {"elements_by_rank", "_words"}
+def assert_one_str_per_element(model):
+    # Every key, level entry and cover entry of the three text tables is
+    # the same str object, so an interval holds each element's text once.
+    one = {w: w for level in model.text_ranks.values() for w in level}
+    assert len(one) == model.s0()
+    shared = [
+        *(w for level in model.text_ranks.values() for w in level),
+        *model.text_covers_down,
+        *model.text_covers_up,
+        *(w for covers in model.text_covers_down.values() for w in covers),
+        *(w for covers in model.text_covers_up.values() for w in covers),
+    ]
+    assert all(w is one[w] for w in shared)
 
 
 @pytest.mark.parametrize(
@@ -380,46 +395,29 @@ def test_views_equal_generate_and_filter_and_share_one_word_per_element(
     reference = reference_elements(bottom, top)
     elements = [w for r in reference for w in reference[r]]
     below = {
-        w: tuple(v for v in reference.get(w.semilength - 1, ()) if contains(v, w))
+        w.text: tuple(
+            v.text for v in reference.get(w.semilength - 1, ()) if contains(v, w)
+        )
         for w in elements
     }
     above = {
-        w: tuple(v for v in reference.get(w.semilength + 1, ()) if contains(w, v))
+        w.text: tuple(
+            v.text for v in reference.get(w.semilength + 1, ()) if contains(w, v)
+        )
         for w in elements
     }
-    assert model.elements_by_rank == reference
-    assert model.covers_down == below
-    assert model.covers_up == above
-    assert model.members == frozenset(elements)
+    assert model.text_ranks == texts_by_rank(reference)
+    assert model.text_covers_down == below
+    assert model.text_covers_up == above
+    assert list(model.elements()) == elements
     assert model.mobius_table() == oracle.mobius_columns(bottom, top)[0]
-    # One DyckWord object per element across the four views.
-    one = {w.text: w for w in model.elements()}
-    assert len(one) == model.s0()
-    shared = [
-        *model.members,
-        *model.covers_down,
-        *model.covers_up,
-        *(w for covers in model.covers_down.values() for w in covers),
-        *(w for covers in model.covers_up.values() for w in covers),
-        *(w for edge in model.hasse_edges for w in edge),
-    ]
-    assert all(w is one[w.text] for w in shared)
+    assert_one_str_per_element(model)
 
 
 @pytest.mark.parametrize(
     "bottom_text, top_text", [("UD", "UUDUDUDUDUDUDD"), ("UUDD", "UUDUDUDUDUDUDD")]
 )
 def test_text_tables_share_one_str_per_element(bottom_text, top_text):
-    # Every key, level entry and cover entry of the three text tables is
-    # the same str object, so an interval holds each element's text once.
     model = build_interval(parse_word(bottom_text), parse_word(top_text))
-    one = {w: w for level in model.text_ranks.values() for w in level}
-    assert len(one) == model.s0() > 80
-    shared = [
-        *(w for level in model.text_ranks.values() for w in level),
-        *model.text_covers_down,
-        *model.text_covers_up,
-        *(w for covers in model.text_covers_down.values() for w in covers),
-        *(w for covers in model.text_covers_up.values() for w in covers),
-    ]
-    assert all(w is one[w] for w in shared)
+    assert model.s0() > 80
+    assert_one_str_per_element(model)

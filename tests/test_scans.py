@@ -20,6 +20,14 @@ from dyckposet import scans
 from dyckposet.scans import RANK2_SCAN_CEILING, mobius_to_top
 from dyckposet.words import lex_text
 
+# The quantity each scan's bound limits, as its refusal messages name it.
+SCAN_BOUND = {
+    "alternating": "top semilength",
+    "rank2max": "bottom semilength",
+    "rank3max": "bottom semilength",
+    "covercount": "semilength",
+}
+
 
 def test_scan_alternating_small():
     report = scan_alternating(4)
@@ -49,13 +57,20 @@ def test_scan_rank2_max_values_and_witnesses():
 
 
 @pytest.mark.parametrize(
-    "scan, name", [(scan_rank2_max, "rank2max"), (scan_rank3_max, "rank3max")]
+    "scan, name",
+    [
+        (scan_rank2_max, "rank2max"),
+        (scan_rank3_max, "rank3max"),
+        (scan_alternating, "alternating"),
+        (sweep_cover_count, "covercount"),
+    ],
 )
 @pytest.mark.parametrize("n", [0, -1])
 def test_rank_scans_refuse_a_bottom_below_semilength_1(scan, name, n):
     with pytest.raises(ArgumentOutOfRangeError) as refused:
         scan(n)
-    assert str(refused.value) == f"{name} scan bottom semilength must be >= 1, got {n}"
+    what = f"{name} scan {SCAN_BOUND[name]}"
+    assert str(refused.value) == f"{what} must be >= 1, got {n}"
 
 
 def test_scan_rank2_records_staircase_pair_value():
@@ -147,7 +162,7 @@ def test_scan_rank3_max_equals_the_full_interval_oracle(n):
     assert payload(scan_rank3_max(n)) == oracle.scan_rank_max(3, n)
 
 
-@pytest.mark.parametrize("max_top", range(0, 7))
+@pytest.mark.parametrize("max_top", range(1, 7))
 def test_scan_alternating_equals_the_full_interval_oracle(max_top):
     assert payload(scan_alternating(max_top)) == oracle.scan_alternating(max_top)
 
