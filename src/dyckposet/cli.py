@@ -146,7 +146,14 @@ def interval_command(ctx: click.Context, bottom: str, top: str, view: str) -> No
     elif view == "dot":
         click.echo(interval_to_dot(model), nl=False)
     elif view == "edges":
-        lines = "".join(f"{lo} {up}\n" for lo, up in model.text_edges())
+        # One string per lower element: its up-covers joined behind its text.
+        ranks, covers_up = model.text_ranks, model.text_covers_up
+        lines = "".join(
+            lo + " " + f"\n{lo} ".join(covers_up[lo]) + "\n"
+            for r in model.rank_span
+            for lo in ranks[r]
+            if covers_up[lo]
+        )
         click.echo(lines, nl=False)
     elif view == "elements":
         for r in model.rank_span:

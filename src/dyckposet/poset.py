@@ -96,8 +96,9 @@ def _deletion_texts(text: str) -> list[str]:
     one U-run and the first D of one D-run, and these are the two steps of
     each peak.  Dropping the U of peak i and the D of peak j leaves a Dyck
     word iff j < i (the heights in between rise by one) or no prefix height
-    between the two steps is 0, i.e. both peaks lie in the same factor.  Each
-    candidate is therefore one slice of the text, accepted without a rescan.
+    between the two steps is 0, i.e. both peaks lie in the same factor.  The
+    text without the U of peak i is made once per peak, and each candidate is
+    one pair of its slices, accepted without a rescan.
     The tests check it against generate-and-filter; its cost is bounded by
     the peak count, not by a Catalan number.
     """
@@ -119,12 +120,14 @@ def _deletion_texts(text: str) -> list[str]:
         previous = step
     seen: set[str] = set()
     for i, up in enumerate(peaks):
+        # The D of peak j sits at peak + 1 in `text`, one less in `rest` if
+        # it follows the dropped U.
+        rest = text[:up] + text[up + 1 :]
         for j, peak in enumerate(peaks):
-            down = peak + 1
             if j < i:
-                seen.add(text[:down] + text[down + 1 : up] + text[up + 1 :])
+                seen.add(rest[: peak + 1] + rest[peak + 2 :])
             elif factor_of[j] == factor_of[i]:
-                seen.add(text[:up] + text[up + 1 : down] + text[down + 1 :])
+                seen.add(rest[:peak] + rest[peak + 1 :])
     seen.discard("")
     return _lex_sorted(seen)
 
@@ -394,9 +397,13 @@ def mobius(bottom: DyckWord, top: DyckWord, limit: int | None = None) -> int:
 
 
 def interval_to_json_dict(model: IntervalModel) -> dict:
-    """JSON rendering: bottom, top, ranks, edges and the Möbius table."""
+    """JSON rendering: bottom, top, ranks, edges and the Möbius table.
+
+    The edges are [lower, upper] lists, rank by rank, lexicographic within
+    each; the Möbius column is already in elements() order.
+    """
     ranks = model.text_ranks
-    column = model._mobius_column
+    covers_up = model.text_covers_up
     return {
         "bottom": model.bottom.text,
         "top": model.top.text,
@@ -404,18 +411,25 @@ def interval_to_json_dict(model: IntervalModel) -> dict:
             {"r": r, "count": len(ranks[r]), "elements": list(ranks[r])}
             for r in model.rank_span
         ],
-        "edges": [[lo, up] for lo, up in model.text_edges()],
-        "mobius": {w: column[w] for r in model.rank_span for w in ranks[r]},
+        "edges": [
+            [lo, up] for r in model.rank_span for lo in ranks[r] for up in covers_up[lo]
+        ],
+        "mobius": dict(model._mobius_column),
     }
 
 
 def interval_to_dot(model: IntervalModel) -> str:
     """Hasse diagram in DOT form, one same-rank group per semilength."""
-    lines = ["digraph interval {", "  rankdir=BT;", "  node [shape=box];"]
+    ranks = model.text_ranks
+    covers_up = model.text_covers_up
+    parts = ["digraph interval {\n  rankdir=BT;\n  node [shape=box];\n"]
     for r in model.rank_span:
-        row = " ".join(f'"{w}";' for w in model.text_ranks[r])
-        lines.append("  { rank=same; " + row + " }")
-    for lo, up in model.text_edges():
-        lines.append(f'  "{lo}" -> "{up}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        parts.append('  { rank=same; "' + '"; "'.join(ranks[r]) + '"; }\n')
+    for r in model.rank_span:
+        for lo in ranks[r]:
+            ups = covers_up[lo]
+            if ups:
+                head = '  "' + lo + '" -> "'
+                parts.append(head + ('";\n' + head).join(ups) + '";\n')
+    parts.append("}\n")
+    return "".join(parts)

@@ -21,6 +21,11 @@ level is every Dyck word of its semilength, from the product filter, that
 contains the bottom and is contained in the top; the up-covers are the
 generate-and-filter covers that stay inside the levels.
 
+Generate-and-filter renderings: the oracle for `interval_to_dot` and
+`interval_to_json_dict`.  They lay out the generate-and-filter down-set and
+the containment-only Möbius column in the documented formats, line by line
+and edge by edge, with no code of the engine's renderers.
+
 Product filter: the oracle for `generate_all`.  It lists every U/D string of
 the length in `itertools.product` order, which is lexicographic (U < D), and
 keeps the Dyck ones.  Over {U, L, D} in reverse ASCII order, which is U < L
@@ -155,6 +160,45 @@ def down_set(bottom, top, lowest):
         for t in level:
             covers_up[t] = [u.text for u in covers_of(DyckWord(t)) if u.text in members]
     return levels, covers_up
+
+
+def interval_dot(bottom, top):
+    """The DOT text of [bottom, top]: rank groups ascending, then every edge."""
+    levels, covers_up = down_set(bottom, top, bottom.semilength)
+    ascending = levels[::-1]
+    lines = ["digraph interval {", "  rankdir=BT;", "  node [shape=box];"]
+    for level in ascending:
+        lines.append("  { rank=same; %s }" % " ".join('"%s";' % t for t in level))
+    for level in ascending:
+        for lower in level:
+            lines.extend('  "%s" -> "%s";' % (lower, upper) for upper in covers_up[lower])
+    lines.append("}")
+    return "".join(line + "\n" for line in lines)
+
+
+def interval_json_dict(bottom, top):
+    """The JSON payload of [bottom, top]: ranks, [lower, upper] edges, mu(bottom, x).
+
+    Ranks ascend and everything within a rank is lexicographic (U < D).
+    """
+    levels, covers_up = down_set(bottom, top, bottom.semilength)
+    from_bottom, _ = mobius_columns(bottom, top)
+    ascending = levels[::-1]
+    return {
+        "bottom": bottom.text,
+        "top": top.text,
+        "ranks": [
+            {"r": bottom.semilength + i, "count": len(level), "elements": list(level)}
+            for i, level in enumerate(ascending)
+        ],
+        "edges": [
+            [lower, upper]
+            for level in ascending
+            for lower in level
+            for upper in covers_up[lower]
+        ],
+        "mobius": {w.text: value for w, value in from_bottom.items()},
+    }
 
 
 def _scan_payload(scan, scope, consistent, summary, witnesses):

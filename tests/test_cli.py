@@ -12,6 +12,7 @@ import pytest
 
 import dyckposet
 import oracle
+from test_poset import CLI_SEPARATORS, RENDERED_INTERVALS
 from test_scans import SCAN_BOUND
 
 from dyckposet import parse_word
@@ -112,6 +113,15 @@ def test_interval_views():
         assert (code, out) == (0, expected)
     code, out, _ = run("interval", "UD", "UDUDUD", "--dot")
     assert out.startswith("digraph interval {")
+
+
+@pytest.mark.parametrize("bottom, top", RENDERED_INTERVALS, ids=lambda w: w.text)
+def test_interval_dot_and_json_equal_the_oracle_byte_for_byte(bottom, top):
+    code, out, _ = run("interval", bottom.text, top.text, "--dot")
+    assert (code, out) == (0, oracle.interval_dot(bottom, top))
+    payload = {"schema": "dyckposet/interval/1", **oracle.interval_json_dict(bottom, top)}
+    code, out, _ = run("interval", bottom.text, top.text, "--json")
+    assert (code, out) == (0, json.dumps(payload, separators=CLI_SEPARATORS) + "\n")
 
 
 def test_interval_json():

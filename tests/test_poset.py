@@ -1,6 +1,7 @@
 """Interval engine: construction, chains, covers, Möbius recursion."""
 
 import itertools
+import json
 import time
 
 import oracle
@@ -29,8 +30,19 @@ from dyckposet import (
 )
 from dyckposet.poset import _mobius_sweep
 from dyckposet.scans import mobius_to_top
+from test_oracles import MOBIUS_INTERVALS
 
 UD = staircase(1)
+
+# [UD, staircase(n)] for n <= 6, the larger bottoms, and a one-element interval.
+RENDERED_INTERVALS = (
+    [(UD, staircase(n)) for n in range(1, 7)]
+    + [(bottom, top) for bottom, top in MOBIUS_INTERVALS if bottom != UD]
+    + [(parse_word("UUDD"), parse_word("UUDD"))]
+)
+
+# The separators `interval --json` prints with.
+CLI_SEPARATORS = (", ", ": ")
 
 
 def reference_elements(bottom, top):
@@ -313,6 +325,15 @@ def test_dot_export_contains_rank_groups_and_edges():
     assert dot.count("rank=same") == 3
     assert '"UD" -> "UUDD";' in dot
     assert dot.endswith("}\n")
+
+
+@pytest.mark.parametrize("bottom, top", RENDERED_INTERVALS, ids=lambda w: w.text)
+def test_renderings_equal_the_oracle_byte_for_byte(bottom, top):
+    model = build_interval(bottom, top)
+    assert interval_to_dot(model) == oracle.interval_dot(bottom, top)
+    rendered = json.dumps(interval_to_json_dict(model), separators=CLI_SEPARATORS)
+    expected = json.dumps(oracle.interval_json_dict(bottom, top), separators=CLI_SEPARATORS)
+    assert rendered == expected
 
 
 def naive_column(levels, toward_origin, origin):
