@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 from .errors import (
@@ -37,99 +38,108 @@ from .words import (
 
 
 def covers_of(word: DyckWord) -> tuple[DyckWord, ...]:
-    """Words covering `word`, lexicographic (U < D): see _insertion_texts."""
+    """Words covering `word`, sorted lex (U < D): see _insertion_texts."""
     if word.semilength < 1:
         raise ArgumentOutOfRangeError("poset elements have semilength >= 1")
-    return tuple(map(DyckWord._wrap, _insertion_texts(word.text)))
+    return tuple(map(DyckWord._wrap, _lex_sorted(_insertion_texts(word.text))))
 
 
 def _insertion_texts(text: str) -> list[str]:
-    """Step texts covering `text`, lexicographic (U < D), by one pass of insertion.
+    """Step texts covering `text`, each exactly once, in no particular order.
 
-    A cover adds one U and one D.  Inserting the U at text position i and the
-    D at position j gives a Dyck word whenever j >= i (the heights in between
-    rise by one), and for j < i iff every prefix height h[k], j <= k <= i, is
-    at least 1 (they drop by one).  Inserting a letter anywhere in a run of
-    the same letter gives the same word, so the U goes only where it does not
-    follow a U, and the D only where it does not follow a D; what remains is
-    O(n^2) candidates, each one slice of the text.  The cost is bounded by the
-    semilength, not by a Catalan number.  It is the twin of _deletion_texts.
+    The twin of _deletion_texts: `text` is a child of each cover, and its
+    leftmost embedding in the cover skips the inserted U and D.  So the U
+    goes only before a D of `text` or at the end, the D only before a U of
+    `text` or at the end, and the two share a slot only as a trailing UD.
+    Inserting the U at slot i and the D at slot j > i always gives a Dyck
+    word (the heights in between rise by one); for j < i it does iff every
+    prefix height from j to i is at least 1 (they drop by one), i.e. the U
+    at j lies after the first U of the factor (ground-to-ground block) that
+    holds slot i.  Every cover comes from exactly one such pair, so no set
+    removes repeats; each is a few slices of the text.  The cost is bounded
+    by the semilength, not by a Catalan number.
     """
-    heights = [0]
-    for step in text:
-        heights.append(heights[-1] + (1 if step == "U" else -1))
-    seen: set[str] = set()
-    for i in range(len(text) + 1):
-        if i and text[i - 1] == "U":
+    ups = [j for j, step in enumerate(text) if step == "U"]
+    covers = [text + "UD"]
+    below = 0  # ups[:below] lie before slot i
+    first = 0  # ups[first] opens the factor that holds slot i
+    for i, step in enumerate(text):
+        if step == "U":
+            below += 1
             continue
-        head, tail = text[:i] + "U", text[i:]
-        # U first: the D goes right after the new U or after any later U.
-        seen.add(head + "D" + tail)
-        for j in range(i + 1, len(text) + 1):
-            if text[j - 1] == "U":
-                seen.add(head + text[i:j] + "D" + text[j:])
-        # D first: walk j down from i while the heights it lowers stay >= 1.
-        for j in range(i, 0, -1):
-            if heights[j] < 1:
-                break
-            if text[j - 1] == "U":
-                seen.add(text[:j] + "D" + text[j:i] + "U" + tail)
-    return _lex_sorted(seen)
+        with_up = text[:i] + "U" + text[i:]
+        # U first: the D goes before a later U, or at the end.
+        covers.append(with_up + "D")
+        for j in ups[below:]:
+            covers.append(with_up[: j + 1] + "D" + text[j:])
+        # D first: the D goes before a U of the same factor, not its first.
+        for j in ups[first + 1 : below]:
+            covers.append(text[:j] + "D" + with_up[j:])
+        if 2 * below == i + 1:  # back at ground: the next U opens a factor
+            first = below
+    return covers
 
 
 def deletion_children(word: DyckWord) -> tuple[DyckWord, ...]:
-    """Words covered by `word`, lexicographic (U < D): see _deletion_texts."""
+    """Words covered by `word`, sorted lex (U < D): see _deletion_texts."""
     if word.semilength < 1:
         raise ArgumentOutOfRangeError("poset elements have semilength >= 1")
-    return tuple(map(DyckWord._wrap, _deletion_texts(word.text)))
+    return tuple(map(DyckWord._wrap, _lex_sorted(_deletion_texts(word.text))))
 
 
 #: The down-cover query is the deletion kernel itself, under its poset name.
 covered_by = deletion_children
 
 
-def _deletion_texts(text: str) -> list[str]:
-    """Step texts covered by `text`, lexicographic (U < D), by one pass of slicing.
+#: The height change of each step.
+_STEP_HEIGHT = {"U": 1, "D": -1}
 
-    Covering in this poset is the removal of one U and one D.  Removing any
-    step of a run gives the same word, so it suffices to drop the last U of
-    one U-run and the first D of one D-run, and these are the two steps of
-    each peak.  Dropping the U of peak i and the D of peak j leaves a Dyck
-    word iff j < i (the heights in between rise by one) or no prefix height
-    between the two steps is 0, i.e. both peaks lie in the same factor.  The
-    text without the U of peak i is made once per peak, and each candidate is
-    one pair of its slices, accepted without a rescan.
-    The tests check it against generate-and-filter; its cost is bounded by
-    the peak count, not by a Catalan number.
+
+def _deletion_texts(text: str) -> list[str]:
+    """Step texts covered by `text`, each exactly once, in no particular order.
+
+    Covering in this poset is the removal of one U and one D.  A child has
+    exactly one leftmost (greedy) embedding in `text`, and it skips one U at
+    a and one D at b, each of which differs from the next step kept, if any.
+    So a is the last U of a U-run (the U of a peak), b is the last D of a
+    D-run (a D before a U, or the final D), and the two are not adjacent: the
+    step kept after a valley DU or a peak UD repeats one of its letters,
+    unless the UD ends the text.  Each such pair gives a different child,
+    which is a Dyck word iff b < a (the heights in between rise by one) or b
+    lies in the factor (ground-to-ground block) that holds a.  So every child
+    comes from exactly one pair, and no set removes repeats.  The text
+    without the U at a is made once per peak, and each candidate is one
+    concat of two of its slices.  The tests check it against
+    generate-and-filter; its cost is bounded by the peak count, not by a
+    Catalan number.
     """
-    peaks: list[int] = []  # position of the U of each peak
-    factor_of: list[int] = []  # factor (ground-to-ground block) of each peak
-    height = 0
-    factor = 0
-    previous = ""
-    for pos, step in enumerate(text):
-        if step == "U":
-            height += 1
-        else:
-            if previous == "U":
-                peaks.append(pos - 1)
-                factor_of.append(factor)
-            height -= 1
-            if height == 0:
-                factor += 1
-        previous = step
-    seen: set[str] = set()
-    for i, up in enumerate(peaks):
-        # The D of peak j sits at peak + 1 in `text`, one less in `rest` if
-        # it follows the dropped U.
-        rest = text[:up] + text[up + 1 :]
-        for j, peak in enumerate(peaks):
-            if j < i:
-                seen.add(rest[: peak + 1] + rest[peak + 2 :])
-            elif factor_of[j] == factor_of[i]:
-                seen.add(rest[:peak] + rest[peak + 1 :])
-    seen.discard("")
-    return _lex_sorted(seen)
+    last = len(text) - 1
+    peaks: list[int] = []  # the U of each peak
+    at = text.find("UD")
+    while at >= 0:
+        peaks.append(at)
+        at = text.find("UD", at + 2)
+    ends: list[int] = []  # the last D of each D-run
+    at = text.find("DU")
+    while at >= 0:
+        ends.append(at)
+        at = text.find("DU", at + 2)
+    ends.append(last)
+    heights = list(accumulate(map(_STEP_HEIGHT.__getitem__, text)))
+    children: list[str] = []
+    for a in peaks:
+        rest = text[:a] + text[a + 1 :]
+        factor_end = heights.index(0, a)  # the first return to ground after a
+        for b in ends:
+            if b < a - 1:
+                children.append(rest[:b] + rest[b + 1 :])
+            elif b > factor_end:
+                break
+            elif b > a + 1:  # b is one step further left in `rest`
+                children.append(rest[: b - 1] + rest[b:])
+    if last > 1 and peaks[-1] == last - 1:
+        children.append(text[:-2])  # the trailing UD
+    return children
 
 
 @dataclass
@@ -325,8 +335,11 @@ def _walk_down(
     `top` and covers_up maps each element to its covers one rank up, both
     lexicographic (U < D), as each level is walked in order.  A level is the
     set of `children` of the one above that contain `bottom`: their Hasse
-    covers inside the interval.  Each rejected candidate is tested once, and
-    with `bottom` = UD none is, as every nonempty Dyck word contains UD.
+    covers inside the interval.  The order in which `children` lists a
+    word's covers does not matter, only that it lists each once: each level
+    is sorted here, once, and the up-covers follow the level above.  Each
+    rejected candidate is tested once, and with `bottom` = UD none is, as
+    every nonempty Dyck word contains UD.
     Each element is one str object, shared by the levels and covers_up.
     """
     levels = [(top,)]

@@ -232,7 +232,8 @@ def sweep_cover_count(max_semilength: int, limit: int | None = None) -> ScanRepo
     violations: list[dict] = []
     for s in range(1, max_semilength + 1):
         max_count = s * s + 1
-        attaining: list[DyckWord] = []
+        attaining: list[str] = []
+        one_factor: list[str] = []
         for q in generate_all(s):
             brute = len(_insertion_texts(q.text))
             expected = cover_count_formula(q)
@@ -242,15 +243,12 @@ def sweep_cover_count(max_semilength: int, limit: int | None = None) -> ScanRepo
                     {"word": q.text, "covers": brute, "formula": expected}
                 )
             if brute == max_count:
-                attaining.append(q)
-        one_factor = [q for q in generate_all(s) if len(factors(q)) == 1]
+                attaining.append(q.text)
+            if len(factors(q)) == 1:
+                one_factor.append(q.text)
         if attaining != one_factor:
             violations.append(
-                {
-                    "semilength": s,
-                    "attaining_max": [q.text for q in attaining],
-                    "one_factor": [q.text for q in one_factor],
-                }
+                {"semilength": s, "attaining_max": attaining, "one_factor": one_factor}
             )
     elapsed = int((time.perf_counter() - start) * 1000)
     return ScanReport(

@@ -3,6 +3,7 @@
 import itertools
 import json
 import time
+from collections import Counter
 
 import oracle
 import pytest
@@ -28,8 +29,9 @@ from dyckposet import (
     staircase,
     two_peak,
 )
-from dyckposet.poset import _mobius_sweep
+from dyckposet.poset import _deletion_texts, _insertion_texts, _mobius_sweep, _walk_down
 from dyckposet.scans import mobius_to_top
+from dyckposet.words import _lex_sorted
 from test_oracles import MOBIUS_INTERVALS
 
 UD = staircase(1)
@@ -198,6 +200,50 @@ def test_cover_count_formula_holds_up_to_semilength_8():
             counts[child] = counts.get(child, 0) + 1
     for q in generate_all(8):
         assert counts.get(q, 0) == cover_count_formula(q) == len(covers_of(q))
+
+
+@pytest.mark.parametrize(
+    "bottom_text, top_text",
+    [
+        ("UD", staircase(9).text),
+        ("UD", elevated_staircase(9).text),
+        ("UUDD", "UUDUUDDUDUDD"),
+        ("UDUD", "UUUDDUDUUDDD"),
+    ],
+)
+def test_walk_down_does_not_depend_on_the_order_of_children(bottom_text, top_text):
+    # The kernels list covers in no particular order; the walk must give the
+    # same levels and up-covers, in the same order, whatever order it reads.
+    orders = [
+        _deletion_texts,
+        lambda text: _deletion_texts(text)[::-1],
+        lambda text: _lex_sorted(_deletion_texts(text)),
+    ]
+    lowest = len(bottom_text) // 2
+    walks = [_walk_down(bottom_text, top_text, lowest, order) for order in orders]
+    assert walks[1] == walks[0] and walks[2] == walks[0]
+
+
+def test_raw_kernels_list_each_cover_once_up_to_semilength_10():
+    # Past the oracle's range: neither raw kernel repeats a word, the
+    # deletion kernel gives as many children as deletion_children and the
+    # insertion kernel as many covers as the factor formula.  Each word of
+    # rank n - 1 is then a child of exactly its covers, so the tallies of
+    # the children of rank n equal the formula too.
+    from dyckposet import cover_count_formula
+
+    below = {}
+    for n in range(1, 11):
+        tallies, formula = Counter(), {}
+        for w in generate_all(n):
+            children = _deletion_texts(w.text)
+            covers = _insertion_texts(w.text)
+            formula[w.text] = cover_count_formula(w)
+            assert len(set(children)) == len(children) == len(deletion_children(w)), w
+            assert len(set(covers)) == len(covers) == formula[w.text], w
+            tallies.update(children)
+        assert tallies == below, n
+        below = formula
 
 
 def test_poset_operations_reject_the_empty_word():

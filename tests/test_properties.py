@@ -14,6 +14,7 @@ from dyckposet import (
     parse_word,
     staircase,
 )
+from dyckposet.poset import _deletion_texts, _insertion_texts
 from dyckposet.scans import _top_windows
 from dyckposet.words import lex_key
 
@@ -58,7 +59,12 @@ def slow_deletion_children(word):
 @settings(max_examples=40, deadline=None)
 @given(dyck_words())
 def test_deletion_children_matches_pairwise_deletion(word):
-    assert deletion_children(word) == slow_deletion_children(word)
+    expected = slow_deletion_children(word)
+    assert deletion_children(word) == expected
+    # The raw kernel lists the same children, each once, in any order.
+    children = _deletion_texts(word.text)
+    assert len(set(children)) == len(children)
+    assert set(children) == {c.text for c in expected}
 
 
 def slow_covers_of(word):
@@ -82,7 +88,12 @@ def slow_covers_of(word):
 @settings(max_examples=40, deadline=None)
 @given(dyck_words())
 def test_covers_of_matches_pairwise_insertion(word):
-    assert covers_of(word) == slow_covers_of(word)
+    expected = slow_covers_of(word)
+    assert covers_of(word) == expected
+    # The raw kernel lists the same covers, each once, in any order.
+    covers = _insertion_texts(word.text)
+    assert len(set(covers)) == len(covers)
+    assert set(covers) == {c.text for c in expected}
 
 
 @settings(max_examples=40, deadline=None)
