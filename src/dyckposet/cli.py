@@ -43,16 +43,7 @@ from .formulas import (
     two_peak_rank_count_h0,
 )
 from .poset import build_interval, interval_to_dot, interval_to_json_dict, mobius
-from .scans import (
-    ALTERNATING_SCAN_CEILING,
-    COVER_SCAN_CEILING,
-    _RANK2_CLI_BOUND,
-    _RANK3_CLI_BOUND,
-    scan_alternating,
-    scan_rank2_max,
-    scan_rank3_max,
-    sweep_cover_count,
-)
+from .scans import SCANS
 from .verify import SUITES, run_suite
 from .words import contains, factors, parse_word, runs, statistics
 
@@ -297,21 +288,13 @@ def verify_command(suite: str) -> None:
         raise SystemExit(1)
 
 
-_SCANS = {
-    "alternating": (scan_alternating, ALTERNATING_SCAN_CEILING, True),
-    "rank2max": (scan_rank2_max, _RANK2_CLI_BOUND, False),
-    "rank3max": (scan_rank3_max, _RANK3_CLI_BOUND, True),
-    "covercount": (sweep_cover_count, COVER_SCAN_CEILING, False),
-}
-
-
 def _levels(conjecture_level: bool) -> str:
-    return ", ".join(k for k, scan in _SCANS.items() if scan[2] == conjecture_level)
+    return ", ".join(k for k, scan in SCANS.items() if scan[3] == conjecture_level)
 
 
 @cli.command(
     name="conjecture",
-    help=f"Run a Möbius/cover scan: {', '.join([*_SCANS][:-1])} or {[*_SCANS][-1]}."
+    help=f"Run a Möbius/cover scan: {', '.join([*SCANS][:-1])} or {[*SCANS][-1]}."
     f"\n\nConjecture-level scans ({_levels(True)}) exit 0 even when they find a "
     "violation: a counterexample is a finding, reported in the witnesses. "
     f"Proposition-level scans ({_levels(False)}) exit 1 on violation.",
@@ -323,10 +306,10 @@ def _levels(conjecture_level: bool) -> str:
 def conjecture_command(
     ctx: click.Context, scan_id: str, max_value: int | None, as_json: bool
 ) -> None:
-    if scan_id not in _SCANS:
-        known = ", ".join(sorted(_SCANS))
+    if scan_id not in SCANS:
+        known = ", ".join(sorted(SCANS))
         raise ArgumentOutOfRangeError(f"unknown scan {scan_id!r}; expected one of: {known}")
-    scan, default_bound, conjecture_level = _SCANS[scan_id]
+    scan, _, default_bound, conjecture_level = SCANS[scan_id]
     bound = default_bound if max_value is None else max_value
     report = scan(bound, limit=ctx.obj["limit"])
     if as_json:
@@ -433,8 +416,11 @@ def export_group() -> None:
 def export_dot_command(ctx: click.Context, bottom: str, top: str, path: str) -> None:
     """Write the Hasse diagram of [BOTTOM, TOP] to PATH in DOT form."""
     model = build_interval(parse_word(bottom), parse_word(top), ctx.obj["limit"])
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write(interval_to_dot(model))
+    try:
+        with open(path, "w", encoding="ascii") as handle:
+            handle.write(interval_to_dot(model))
+    except OSError as exc:
+        raise click.FileError(path, exc.strerror) from exc
     click.echo(f"wrote {path}", err=True)
 
 
@@ -444,11 +430,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         cli.main(args=argv, standalone_mode=False)
     except click.exceptions.Exit as exc:
         return exc.exit_code
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        return 1
     except click.ClickException as exc:
-        exc.show()
+        click.echo(f"error: {exc.format_message()}", err=True)
         return 1
     except LimitExceededError as exc:
         click.echo(f"error: {exc}", err=True)

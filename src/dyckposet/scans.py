@@ -7,11 +7,12 @@ order, then the engine's one Möbius recursion is swept back down from the
 top, which gives mu(x, top) for every x in that window.  DyckWords are made
 only for the tops; witnesses are reported as texts.  A rank-k scan reads only
 the k ranks below each top; the alternation scan walks down to UD, i.e. the
-whole initial interval.  Proposition-level facts (the rank-2 maximum, the cover-count
-formula) are expected to hold and their violation is a build-breaking bug;
-conjecture-level scans (sign alternation, the rank-3 maximum) report what they
-see, because a counterexample would be a finding to surface, not an error to
-suppress.
+whole initial interval.  `SCANS` catalogues the four scans with their
+ceilings, default bounds and levels.  Proposition-level facts (the rank-2
+maximum, the cover-count formula) are expected to hold and their violation is
+a build-breaking bug; conjecture-level scans (sign alternation, the rank-3
+maximum) report what they see, because a counterexample would be a finding to
+surface, not an error to suppress.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .poset import (
     _mobius_sweep,
     _walk_down,
 )
-from .words import DyckWord, elevated_staircase, factors, generate_all
+from .words import DyckWord, elevated_staircase, generate_all
 
 #: Scan-specific ceilings, sized to finish in seconds on a laptop.  A scan's
 #: `limit=` argument, when given, replaces its ceiling.
@@ -39,10 +40,6 @@ ALTERNATING_SCAN_CEILING = 6
 RANK2_SCAN_CEILING = 7
 RANK3_SCAN_CEILING = 6
 COVER_SCAN_CEILING = 7
-#: Bounds that `dyckposet conjecture rank2max/rank3max` runs with when no
-#: --max is given: below the ceilings, so that the default run is quick.
-_RANK2_CLI_BOUND = 4
-_RANK3_CLI_BOUND = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,7 +230,6 @@ def sweep_cover_count(max_semilength: int, limit: int | None = None) -> ScanRepo
     for s in range(1, max_semilength + 1):
         max_count = s * s + 1
         attaining: list[str] = []
-        one_factor: list[str] = []
         for q in generate_all(s):
             brute = len(_insertion_texts(q.text))
             expected = cover_count_formula(q)
@@ -244,8 +240,9 @@ def sweep_cover_count(max_semilength: int, limit: int | None = None) -> ScanRepo
                 )
             if brute == max_count:
                 attaining.append(q.text)
-            if len(factors(q)) == 1:
-                one_factor.append(q.text)
+        # The one-factor words are U w D (first return at the end), in
+        # generation order because w is.
+        one_factor = ["U" + w.text + "D" for w in generate_all(s - 1)]
         if attaining != one_factor:
             violations.append(
                 {"semilength": s, "attaining_max": attaining, "one_factor": one_factor}
@@ -259,3 +256,18 @@ def sweep_cover_count(max_semilength: int, limit: int | None = None) -> ScanRepo
         witnesses=tuple(violations),
         elapsed_ms=elapsed,
     )
+
+
+#: The scan catalogue: CLI id -> (scan, ceiling, default bound,
+#: conjecture_level).  The default bound is what `dyckposet conjecture ID`
+#: runs with when no --max is given; the rank-2/rank-3 defaults sit below
+#: their ceilings so that the default run is quick.  A conjecture-level scan
+#: exits 0 on a violation, which is a finding; a proposition-level scan exits
+#: 1.  Plain tuples, unpacked by position, so that call tracing can rebuild an
+#: entry around a wrapped scan.
+SCANS = {
+    "alternating": (scan_alternating, ALTERNATING_SCAN_CEILING, 6, True),
+    "rank2max": (scan_rank2_max, RANK2_SCAN_CEILING, 4, False),
+    "rank3max": (scan_rank3_max, RANK3_SCAN_CEILING, 3, True),
+    "covercount": (sweep_cover_count, COVER_SCAN_CEILING, 7, False),
+}

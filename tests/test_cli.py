@@ -16,7 +16,8 @@ from test_poset import CLI_SEPARATORS, RENDERED_INTERVALS
 from test_scans import SCAN_BOUND
 
 from dyckposet import parse_word
-from dyckposet.cli import _SCANS, main
+from dyckposet.cli import main
+from dyckposet.scans import SCANS
 from dyckposet.verify import SUITES
 
 # `verify all` stdout, byte for byte: every check of every suite passing.
@@ -192,6 +193,21 @@ def test_conjecture_covercount_stops_at_its_ceiling():
     assert run("conjecture", "covercount")[1] == out
 
 
+@pytest.mark.parametrize(
+    "scan, scope",
+    [
+        ("alternating", "max_top_semilength=6"),
+        ("rank2max", "n=4"),
+        ("rank3max", "n=3"),
+        ("covercount", "max_semilength=7"),
+    ],
+)
+def test_conjecture_runs_each_scan_at_its_default_bound_without_max(scan, scope):
+    code, out, _ = run("conjecture", scan)
+    assert code == 0
+    assert out.splitlines()[:3] == [f"scan {scan}", f"scope {scope}", "verdict consistent"]
+
+
 def test_bijection_motzkin_command():
     code, out, _ = run("bijection", "motzkin", "UUDD")
     assert (code, out) == (0, "dyck UUDD\nmotzkin ULD\nlength 3\n")
@@ -219,6 +235,16 @@ def test_export_dot(tmp_path):
     assert '"UD" -> "UDUD";' in content
 
 
+def test_export_dot_to_an_unwritable_path_is_one_error_line(tmp_path):
+    target = tmp_path / "missing" / "interval.dot"
+    code, out, err = run("export", "dot", "UD", "UDUD", str(target))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: Could not open file {str(target)!r}: No such file or directory\n"
+    )
+    assert not target.parent.exists()
+
+
 def test_stdout_is_deterministic():
     for argv in (
         ("interval", "UD", "UDUDUDUD", "--json"),
@@ -244,9 +270,9 @@ def test_help_lists_every_suite_and_scan_from_their_tables():
     out = " ".join(run("verify", "--help")[1].split())
     assert f"Suites: {', '.join([*SUITES, 'all'])}." in out
     out = " ".join(run("conjecture", "--help")[1].split())
-    assert all(name in out for name in _SCANS)
+    assert all(name in out for name in SCANS)
     for level, conjecture_level in [("Conjecture", True), ("Proposition", False)]:
-        names = ", ".join(k for k, scan in _SCANS.items() if scan[2] == conjecture_level)
+        names = ", ".join(k for k, scan in SCANS.items() if scan[3] == conjecture_level)
         assert f"{level}-level scans ({names}) exit" in out
 
 
