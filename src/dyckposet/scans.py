@@ -7,10 +7,14 @@ order, then the engine's one Möbius recursion is swept back down from the
 top, which gives mu(x, top) for every x in that window.  DyckWords are made
 only for the tops; witnesses are reported as texts.  A rank-k scan reads only
 the k ranks below each top; the alternation scan walks down to UD, i.e. the
-whole initial interval.  `SCANS` catalogues the four scans with their
-ceilings, default bounds and levels.  Proposition-level facts (the rank-2
-maximum, the cover-count formula) are expected to hold and their violation is
-a build-breaking bug; conjecture-level scans (sign alternation, the rank-3
+whole initial interval.  Reversal (the steps read backwards, U and D swapped)
+is an automorphism of the pattern order that fixes UD, so mu(x, t) = mu(rev
+x, rev t): each pair {t, rev t} is walked once and its second top is mirrored
+from the first; the cross-check is the unquotiented oracle scans in
+`tests/oracle.py`.  `SCANS` catalogues the four scans with their ceilings,
+default bounds and levels.  Proposition-level facts (the rank-2 maximum, the
+cover-count formula) are expected to hold and their violation is a
+build-breaking bug; conjecture-level scans (sign alternation, the rank-3
 maximum) report what they see, because a counterexample would be a finding to
 surface, not an error to suppress.
 """
@@ -20,8 +24,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ArgumentOutOfRangeError, check_limit
 from .formulas import cover_count_formula
@@ -32,7 +35,7 @@ from .poset import (
     _mobius_sweep,
     _walk_down,
 )
-from .words import DyckWord, elevated_staircase, generate_all
+from .words import DyckWord, elevated_staircase, generate_all, lex_text
 
 #: Scan-specific ceilings, sized to finish in seconds on a laptop.  A scan's
 #: `limit=` argument, when given, replaces its ceiling.
@@ -97,12 +100,44 @@ def _top_windows(
     lowest = 1 it is exactly the interval [UD, top], and for larger `lowest`
     it is the top part of that interval, which holds every element between
     a low-rank x and the top.  The tops share most of their descendants, so
-    each word's deletion children are computed once per call.
+    each word's deletion children are computed once per call.  The scans
+    walk one top of each reversal pair here and mirror the other (see
+    `_reversal_digests`); the unquotiented oracle scans are the cross-check.
     """
     children = functools.lru_cache(maxsize=None)(_deletion_texts)
     for top in tops:
         levels, covers_up = _walk_down("UD", top.text, lowest, children)
         yield top.text, levels, _mobius_sweep(levels, covers_up, top.text)
+
+
+def _reversal(text: str) -> str:
+    """The mirror image of a step text: read backwards, with U and D swapped."""
+    return text[::-1].translate(str.maketrans("UD", "DU"))
+
+
+def _reversal_digests(tops: Sequence, lowest: int, digest: Callable) -> Iterator:
+    """(top, pairs, candidates) for each top, walking one top of each reversal pair.
+
+    `digest` maps a window to its pair count and witness candidates (x, mu),
+    ranks ascending, then lexicographic.  Within a semilength tops come in
+    reverse str order, so t is walked unless rev t > t came first; then t is
+    mirrored: it gets the digest of rev t under reversal, re-sorted, which is
+    held only until then.  The cross-check is the unquotiented oracle scans.
+    """
+    windows = _top_windows((t for t in tops if _reversal(t.text) <= t.text), lowest)
+    pending: dict[str, tuple[int, list[tuple[str, int]]]] = {}
+    for top in tops:
+        text, mirror = top.text, _reversal(top.text)
+        if mirror > text:
+            pairs, found = pending.pop(text)
+            found = [(_reversal(x), value) for x, value in found]
+            found.sort(key=lambda c: (len(c[0]), lex_text(c[0])))
+        else:
+            _, levels, column = next(windows)
+            pairs, found = digest(levels, column)
+            if mirror != text:
+                pending[mirror] = pairs, found
+        yield text, pairs, found
 
 
 def _witness(bottom: str, top: str, value: int) -> dict:
@@ -114,6 +149,12 @@ def _check_bound(what: str, value: int, ceiling: int, limit: int | None) -> None
     check_limit(what, value, ceiling, limit)
     if value < 1:
         raise ArgumentOutOfRangeError(f"{what} must be >= 1, got {value}")
+
+
+def _sign_violations(levels: list[tuple[str, ...]], column: dict[str, int]):
+    """A window's pair count, and its x of wrong-signed mu(x, top), ranks ascending."""
+    ranked = ((i, x) for i in range(len(levels) - 1, -1, -1) for x in levels[i])
+    return len(column), [(x, column[x]) for i, x in ranked if (-1) ** i * column[x] < 0]
 
 
 def scan_alternating(max_top_semilength: int, limit: int | None = None) -> ScanReport:
@@ -130,17 +171,10 @@ def scan_alternating(max_top_semilength: int, limit: int | None = None) -> ScanR
     start = time.perf_counter()
     pairs = 0
     violations: list[dict] = []
-    tops = chain.from_iterable(
-        generate_all(s) for s in range(1, max_top_semilength + 1)
-    )
-    for top, levels, column in _top_windows(tops, 1):
-        # levels[i] lies i ranks below the top; report ranks ascending.
-        for i in range(len(levels) - 1, -1, -1):
-            for x in levels[i]:
-                value = column[x]
-                pairs += 1
-                if value < 0 if i % 2 == 0 else value > 0:
-                    violations.append(_witness(x, top, value))
+    tops = [top for s in range(1, max_top_semilength + 1) for top in generate_all(s)]
+    for top, count, found in _reversal_digests(tops, 1, _sign_violations):
+        pairs += count
+        violations.extend(_witness(x, top, value) for x, value in found)
     elapsed = int((time.perf_counter() - start) * 1000)
     return ScanReport(
         scan="alternating",
@@ -150,6 +184,14 @@ def scan_alternating(max_top_semilength: int, limit: int | None = None) -> ScanR
         witnesses=tuple(violations),
         elapsed_ms=elapsed,
     )
+
+
+def _bottoms_at_max(levels: list[tuple[str, ...]], column: dict, signed: bool):
+    """A window's pair count over its lowest level, and the bottoms p there at
+    its maximum of mu(p, top), or of |mu| if not `signed`."""
+    sizes = [column[p] if signed else abs(column[p]) for p in levels[-1]]
+    best = max(sizes)
+    return len(sizes), [(p, column[p]) for p, z in zip(levels[-1], sizes) if z == best]
 
 
 def _scan_rank_max(
@@ -167,16 +209,14 @@ def _scan_rank_max(
     best: int | None = None
     attaining: list[dict] = []
     pairs = 0
-    for top, levels, column in _top_windows(generate_all(n + k), n):
-        for p in levels[-1]:
-            value = column[p]
-            size = value if signed else abs(value)
-            pairs += 1
-            if best is None or size > best:
-                best = size
-                attaining = [_witness(p, top, value)]
-            elif size == best:
-                attaining.append(_witness(p, top, value))
+    digest = functools.partial(_bottoms_at_max, signed=signed)
+    for top, count, found in _reversal_digests(generate_all(n + k), n, digest):
+        pairs += count
+        size = found[0][1] if signed else abs(found[0][1])
+        if best is None or size > best:
+            best, attaining = size, []
+        if size == best:
+            attaining.extend(_witness(p, top, value) for p, value in found)
     elapsed = int((time.perf_counter() - start) * 1000)
     canonical_attains = any((w["bottom"], w["top"]) == canonical for w in attaining)
     return ScanReport(

@@ -26,6 +26,10 @@ Generate-and-filter renderings: the oracle for `interval_to_dot` and
 the containment-only Möbius column in the documented formats, line by line
 and edge by edge, with no code of the engine's renderers.
 
+Positional mirror: the oracle for the scans' reversal map.  Step i of the
+mirror is the swap of step 2n - 1 - i, looked up in a dict, with no slicing
+and no translation table.
+
 Product filter: the oracle for `generate_all`.  It lists every U/D string of
 the length in `itertools.product` order, which is lexicographic (U < D), and
 keeps the Dyck ones.  Over {U, L, D} in reverse ASCII order, which is U < L
@@ -114,6 +118,12 @@ def mobius_columns(bottom, top):
             value for z, value in to_top.items() if contains(x, z)
         )
     return from_bottom, to_top
+
+
+def mirror_text(text):
+    """Reversal by position: step i is the swap of step len - 1 - i."""
+    swap = {"U": "D", "D": "U"}
+    return "".join(swap[text[len(text) - 1 - i]] for i in range(len(text)))
 
 
 @functools.lru_cache(maxsize=None)

@@ -6,6 +6,7 @@ entry: `test_every_private_kernel_has_an_oracle` fails on one without, so a
 new kernel cannot land unchecked.
 """
 
+import functools
 import inspect
 
 import oracle
@@ -103,6 +104,37 @@ def check_top_windows():
             assert column == {w: full[w] for r in ranks for w in model.text_ranks[r]}
 
 
+def check_reversal():
+    for n in range(9):
+        for text in oracle.dyck_texts(n):
+            assert scans._reversal(text) == oracle.mirror_text(text), text
+
+
+def every_pair(levels, column):
+    """A digest that keeps every pair of the window, ranks ascending."""
+    return len(column), [(x, column[x]) for level in reversed(levels) for x in level]
+
+
+def check_reversal_digests():
+    # Walked or mirrored, each top's digest is the one its own window gives:
+    # the scans' digests, and one that keeps every pair, so that the re-sort
+    # of mirrored candidates is checked on whole windows.
+    digests = [
+        scans._sign_violations,
+        functools.partial(scans._bottoms_at_max, signed=True),
+        functools.partial(scans._bottoms_at_max, signed=False),
+        every_pair,
+    ]
+    for s in range(1, 8):
+        tops = generate_all(s)
+        for lowest in range(1, s + 1):
+            paired = [list(scans._reversal_digests(tops, lowest, d)) for d in digests]
+            for i, top in enumerate(tops):
+                ((text, levels, column),) = scans._top_windows([top], lowest)
+                for digest, digested in zip(digests, paired):
+                    assert digested[i] == (text, *digest(levels, column)), (top, lowest)
+
+
 def without_elapsed(report):
     payload = report.to_json_dict()
     del payload["elapsed_ms"]
@@ -156,6 +188,10 @@ ORACLES = {
     poset._mobius_sweep: check_mobius_sweep,
     poset._walk_down: check_walk_down,
     scans._top_windows: check_top_windows,
+    scans._reversal: check_reversal,
+    scans._reversal_digests: check_reversal_digests,
+    scans._sign_violations: check_scans,
+    scans._bottoms_at_max: check_scans,
     scans._scan_rank_max: check_scans,
     scans._witness: check_scans,
     scans._check_bound: check_scan_bound,

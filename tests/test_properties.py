@@ -15,8 +15,8 @@ from dyckposet import (
     staircase,
 )
 from dyckposet.poset import _deletion_texts, _insertion_texts
-from dyckposet.scans import _top_windows
-from dyckposet.words import lex_key
+from dyckposet.scans import _top_windows, mobius_to_top
+from dyckposet.words import lex_key, lex_text
 
 
 @st.composite
@@ -142,6 +142,20 @@ def test_reversal_preserves_interval_size_rank_counts_and_mobius(top):
         len(model.text_ranks[r]) for r in model.rank_span
     ]
     assert mirror.mobius() == model.mobius()
+
+
+@settings(max_examples=20, deadline=None)
+@given(dyck_words(min_semilength=1, max_semilength=10))
+def test_reversal_maps_ranks_and_top_anchored_column_of_the_mirror_top(top):
+    # The scans mirror a walked top's digest onto its reversal; here both
+    # intervals are built whole, and each table of one is the other's mirrored.
+    model = build_interval(staircase(1), top)
+    mirror = build_interval(staircase(1), reversal(top))
+    for r in model.rank_span:
+        mirrored = (reversal(parse_word(x)).text for x in model.text_ranks[r])
+        assert mirror.text_ranks[r] == tuple(sorted(mirrored, key=lex_text))
+    column = mobius_to_top(model)
+    assert mobius_to_top(mirror) == {reversal(x): value for x, value in column.items()}
 
 
 def is_subsequence(p, q):

@@ -167,6 +167,11 @@ def test_scan_alternating_equals_the_full_interval_oracle(max_top):
     assert payload(scan_alternating(max_top)) == oracle.scan_alternating(max_top)
 
 
+def mirrored(tops, top):
+    """Whether the mirror image of `top` comes before it in `tops`."""
+    return tops.index(oracle.mirror_text(top)) < tops.index(top)
+
+
 def tied_windows(real):
     """The real windows with every value set to -1.
 
@@ -192,6 +197,7 @@ def test_rank_scans_iterate_bottoms_lexicographically(monkeypatch, scan, n, k):
     order = [(tops.index(w["top"]), lex_text(w["bottom"])) for w in report.witnesses]
     assert len(order) == report.summary["pairs_checked"] > len(tops)
     assert order == sorted(order)
+    assert any(mirrored(tops, w["top"]) for w in report.witnesses)
 
 
 def test_alternating_scan_iterates_ranks_then_bottoms_lexicographically(monkeypatch):
@@ -207,3 +213,28 @@ def test_alternating_scan_iterates_ranks_then_bottoms_lexicographically(monkeypa
     ]
     assert len(order) == report.summary["violations"] > len(tops)
     assert order == sorted(order)
+    assert any(mirrored(tops, w["top"]) for w in report.witnesses)
+
+
+@pytest.mark.parametrize(
+    "scan, bound, semilengths, walked_count",
+    [(scan_rank2_max, 5, [7], 232), (scan_alternating, 6, range(1, 7), 119)],
+)
+def test_scans_walk_one_top_of_each_reversal_pair(
+    monkeypatch, scan, bound, semilengths, walked_count
+):
+    # 232 of the 429 tops of semilength 7: the 35 symmetric ones and one of
+    # each of the 197 mirror pairs; 119 of the 196 tops up to semilength 6.
+    walked = []
+    real = scans._top_windows
+
+    def windows(tops, lowest):
+        for window in real(tops, lowest):
+            walked.append(window[0])
+            yield window
+
+    monkeypatch.setattr(scans, "_top_windows", windows)
+    scan(bound)
+    tops = [w.text for s in semilengths for w in generate_all(s)]
+    assert walked == [t for t in tops if not mirrored(tops, t)]
+    assert len(walked) == walked_count
